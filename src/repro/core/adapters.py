@@ -29,10 +29,12 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.recommender.aggregation import aggregate_group
-from repro.recommender.cf import CFComponent, CFPrediction
+from repro.recommender.cf import CFComponent, CFPrediction, GroupedRatings
 from repro.recommender.matrix import RatingMatrix
-from repro.search.engine import SearchComponent, SearchHit, merge_topk
+from repro.search.engine import (SearchComponent, SearchHit, hits_best_first,
+                                 merge_topk)
 from repro.search.partition import SearchPartition
+from repro.search.scoring import GroupedPostings
 
 __all__ = ["ServiceAdapter", "CFAdapter", "CFRequest", "SearchAdapter", "SearchQuery"]
 
@@ -40,38 +42,71 @@ _NO_MEMBERS = np.empty(0, dtype=np.int64)  # shared empty-group sentinel
 
 
 class _ComponentMemo:
-    """Small LRU of built service components, keyed by partition identity.
+    """Small LRU of structures derived from snapshot objects, by identity.
 
-    Bounded because copy-on-swap updates retire partition objects
-    wholesale: an unbounded ``id -> component`` map would pin every
-    superseded partition (the component holds it) for the adapter's
-    lifetime.  The cap only costs a rebuild on overflow.  Thread-safe:
-    adapters are shared across serving backends' worker threads.
+    An entry belongs to the tuple of ``owners`` it was built from and is
+    only ever returned for those very objects (ids are reused once an
+    owner is collected, so the owners are kept and compared).  Bounded
+    because copy-on-swap updates retire partition objects wholesale: an
+    unbounded map would pin every superseded partition for the
+    adapter's lifetime.  The cap only costs a rebuild on overflow.
+    Thread-safe: adapters are shared across serving backends' worker
+    threads; racing builders of one entry build equal values and the
+    last one stored wins.
     """
 
     def __init__(self, maxsize: int = 32):
         self._maxsize = maxsize
-        self._entries: OrderedDict[int, Any] = OrderedDict()
+        self._entries: OrderedDict[tuple, tuple] = OrderedDict()
         self._lock = threading.Lock()
 
-    def get(self, partition, is_current: Callable[[Any], bool],
-            build: Callable[[], Any]):
-        key = id(partition)
+    def get(self, owners: tuple, build: Callable[[], Any],
+            fresh: Callable[[Any], bool] | None = None):
+        key = tuple(map(id, owners))
         with self._lock:
-            comp = self._entries.get(key)
-            if comp is not None and is_current(comp):
+            entry = self._entries.get(key)
+            if (entry is not None
+                    and all(a is b for a, b in zip(entry[0], owners))
+                    and (fresh is None or fresh(entry[1]))):
                 self._entries.move_to_end(key)
-                return comp
-        comp = build()
+                return entry[1]
+        value = build()
         with self._lock:
-            self._entries[key] = comp
+            self._entries[key] = (owners, value)
             self._entries.move_to_end(key)
             while len(self._entries) > self._maxsize:
                 self._entries.popitem(last=False)
-        return comp
+        return value
 
     def __len__(self) -> int:
         return len(self._entries)
+
+
+class _RefinePlan:
+    """Stage 2's request-invariant work for one (request, component) run.
+
+    Made on the execution's first ``refine`` and carried in its stage-1
+    state, so every later ``refine`` of the run is a slice of
+    ``layout`` — the group-segmented view of the snapshot — combined
+    with ``query``, the layout's own plan for the request.  Bound to the
+    ``(partition, index file)`` pair it was made for: a state refined
+    against any other snapshot gets a new plan.
+    """
+
+    __slots__ = ("partition", "index", "layout", "query")
+
+    def __init__(self, partition, index, layout, query):
+        self.partition = partition
+        self.index = index
+        self.layout = layout
+        self.query = query
+
+    def serves(self, partition, synopsis) -> bool:
+        return self.partition is partition and self.index is synopsis.index
+
+
+def _groups(index) -> list[np.ndarray]:
+    return [index.members_view(g) for g in range(index.n_groups)]
 
 
 class ServiceAdapter(abc.ABC):
@@ -167,6 +202,29 @@ class ServiceAdapter(abc.ABC):
         """Work units for exact processing of the whole partition."""
 
 
+class _MemoisingAdapter(ServiceAdapter):
+    """The per-process memos the two concrete adapters share.
+
+    ``_components`` holds the service component built over a partition,
+    ``_layouts`` the group-segmented layout of a ``(partition, index
+    file)`` pair.  Both are keyed by object identity, so they follow
+    every epoch the state plane publishes.  Neither is pickled: ids do
+    not survive a process boundary and the contents are whole matrices,
+    so every worker process builds its own.
+    """
+
+    def __init__(self) -> None:
+        self._components = _ComponentMemo()
+        self._layouts = _ComponentMemo()
+
+    def __getstate__(self):
+        return {}
+
+    def __setstate__(self, state):
+        del state
+        _MemoisingAdapter.__init__(self)
+
+
 # ---------------------------------------------------------------------------
 # Collaborative filtering
 # ---------------------------------------------------------------------------
@@ -221,6 +279,7 @@ class CFStage1State:
     denom: np.ndarray     # (m, T) synopsis partial denominators
     present: np.ndarray   # (m, T) bool: group contributed to the item
     overrides: dict[int, CFPrediction] = field(default_factory=dict)
+    plan: _RefinePlan | None = None   # made by the run's first refine
 
     @staticmethod
     def zeros(active_mean: float, targets: np.ndarray,
@@ -285,7 +344,7 @@ class CFStage1State:
         return merged
 
 
-class CFAdapter(ServiceAdapter):
+class CFAdapter(_MemoisingAdapter):
     """Adapter for the user-based CF recommender.
 
     Original data points are users; an aggregated user's rating on item i
@@ -294,23 +353,17 @@ class CFAdapter(ServiceAdapter):
     user (§2.3: high |w| marks highly related users).
     """
 
-    def __init__(self) -> None:
-        self._components = _ComponentMemo()
-
-    def __getstate__(self):
-        # The component cache is a per-process memo keyed by object id;
-        # shipping it across process boundaries would be both useless
-        # (ids don't survive) and heavy (it holds whole matrices).
-        return {}
-
-    def __setstate__(self, state):
-        del state
-        self._components = _ComponentMemo()
-
     def _component(self, matrix: RatingMatrix) -> CFComponent:
-        return self._components.get(
-            matrix, lambda comp: comp.matrix is matrix,
-            lambda: CFComponent(matrix))
+        return self._components.get((matrix,), lambda: CFComponent(matrix))
+
+    def _refine_plan(self, matrix: RatingMatrix, synopsis,
+                     request: "CFRequest") -> _RefinePlan:
+        index = synopsis.index
+        layout: GroupedRatings = self._layouts.get(
+            (matrix, index),
+            lambda: GroupedRatings(self._component(matrix), _groups(index)))
+        return _RefinePlan(matrix, index, layout, layout.plan(
+            request.active_items, request.active_vals, request.target_items))
 
     # -- offline -------------------------------------------------------
 
@@ -452,15 +505,27 @@ class CFAdapter(ServiceAdapter):
 
     def refine(self, partition: RatingMatrix, synopsis, group_id: int,
                request: CFRequest, state):
-        comp = self._component(partition)
-        members = synopsis.index.members(group_id)
-        pred = comp.partial_prediction(
-            request.active_items, request.active_vals, request.target_items,
-            request.active_mean, user_ids=members,
-        )
-        if isinstance(state, CFStage1State):
+        # The scalar oracle's dict-of-predictions state has nowhere to
+        # carry a plan: it gets a fresh one per call.
+        staged = isinstance(state, CFStage1State)
+        plan = state.plan if staged else None
+        if plan is None or not plan.serves(partition, synopsis):
+            plan = self._refine_plan(partition, synopsis, request)
+            if staged:
+                state.plan = plan
+        if plan.query is None:
+            # Duplicate or too few active items: the inputs the
+            # vectorised Pearson itself defers.
+            pred = self._component(partition).partial_prediction(
+                request.active_items, request.active_vals,
+                request.target_items, request.active_mean,
+                user_ids=synopsis.index.members_view(group_id))
+        else:
+            pred = plan.layout.partial_prediction(plan.query, group_id,
+                                                  request.active_mean)
+        if staged:
             state.overrides[group_id] = pred
-        else:  # the scalar oracle's dict-of-predictions representation
+        else:
             state[group_id] = pred
         return state
 
@@ -485,7 +550,7 @@ class CFAdapter(ServiceAdapter):
         return float(synopsis.n_aggregated)
 
     def group_work(self, synopsis, group_id: int) -> float:
-        return float(synopsis.index.members(group_id).size)
+        return float(synopsis.index.group_size(group_id))
 
     def full_work(self, partition: RatingMatrix) -> float:
         return float(partition.n_users)
@@ -509,7 +574,7 @@ class SearchQuery:
             raise ValueError("k must be >= 1")
 
 
-class SearchAdapter(ServiceAdapter):
+class SearchAdapter(_MemoisingAdapter):
     """Adapter for the TF-IDF web search engine.
 
     Original data points are pages; an aggregated page is the bag-union of
@@ -517,21 +582,20 @@ class SearchAdapter(ServiceAdapter):
     query is its similarity score (§2.3).
     """
 
-    def __init__(self) -> None:
-        self._components = _ComponentMemo()
-
-    def __getstate__(self):
-        # See CFAdapter.__getstate__: the memo is per-process only.
-        return {}
-
-    def __setstate__(self, state):
-        del state
-        self._components = _ComponentMemo()
-
     def _component(self, partition: SearchPartition) -> SearchComponent:
-        return self._components.get(
-            partition, lambda comp: comp.index is partition.index,
-            lambda: SearchComponent(partition.index))
+        inverted = partition.index
+        return self._components.get((inverted,),
+                                    lambda: SearchComponent(inverted))
+
+    def _refine_plan(self, partition: SearchPartition, synopsis,
+                     request: "SearchQuery") -> _RefinePlan:
+        index, inverted = synopsis.index, partition.index
+        layout: GroupedPostings = self._layouts.get(
+            (inverted, index),
+            lambda: GroupedPostings(inverted, _groups(index)),
+            fresh=lambda layout: layout.version == inverted.version)
+        return _RefinePlan(partition, index, layout,
+                           layout.plan(request.terms))
 
     # -- offline -------------------------------------------------------
 
@@ -571,8 +635,9 @@ class SearchAdapter(ServiceAdapter):
 
     def initial_result(self, synopsis, request: SearchQuery):
         payload: SearchComponent = synopsis.payload
-        hits = payload.search(request.terms)
-        return self._stage1_from_hits(synopsis, hits)
+        return self._stage1_state(
+            synopsis,
+            [(h.doc_id, h.score) for h in payload.search(request.terms)])
 
     def initial_result_batch(self, synopsis, requests):
         """Vectorized stage 1 for a batch: one scoring pass over the
@@ -583,15 +648,12 @@ class SearchAdapter(ServiceAdapter):
         payload: SearchComponent = synopsis.payload
         score_maps = score_queries(payload.index,
                                    [r.terms for r in requests])
-        out = []
-        for scores in score_maps:
-            hits = [SearchHit.make(d, s) for d, s in scores.items()]
-            hits.sort()
-            out.append(self._stage1_from_hits(synopsis, hits))
-        return out
+        return [self._stage1_state(synopsis, scores.items())
+                for scores in score_maps]
 
     @staticmethod
-    def _stage1_from_hits(synopsis, hits: list[SearchHit]):
+    def _stage1_state(synopsis, group_scores):
+        """State + correlations from ``(group id, score)`` pairs."""
         m = synopsis.n_aggregated
         correlations = np.zeros(m)
         # Initial approximate result: members of matching groups inherit
@@ -601,20 +663,22 @@ class SearchAdapter(ServiceAdapter):
         # deferred to the few pad slots :meth:`finalize` actually fills.
         estimates: dict[int, tuple[np.ndarray, float]] = {
             g: (_NO_MEMBERS, 0.0) for g in range(m)}
-        for h in hits:
-            correlations[h.doc_id] = h.score
-            estimates[h.doc_id] = (synopsis.index.members(h.doc_id),
-                                   h.score)
-        state = {"refined": {}, "estimated": estimates}
+        for g, score in group_scores:
+            correlations[g] = score
+            estimates[g] = (synopsis.index.members_view(g), score)
+        # "plan": the _RefinePlan the run's first refine makes.
+        state = {"refined": {}, "estimated": estimates, "plan": None}
         return state, correlations
 
     def refine(self, partition: SearchPartition, synopsis, group_id: int,
                request: SearchQuery, state):
-        comp = self._component(partition)
-        members = synopsis.index.members(group_id)
+        plan = state.get("plan")
+        if plan is None or not plan.serves(partition, synopsis):
+            plan = state["plan"] = self._refine_plan(partition, synopsis,
+                                                     request)
         # Exact per-page scores supersede the group's estimate entirely.
-        state["refined"][group_id] = comp.search(request.terms,
-                                                 doc_ids=members)
+        state["refined"][group_id] = hits_best_first(
+            *plan.layout.score_group(plan.query, group_id))
         state["estimated"].pop(group_id, None)
         return state
 
@@ -660,7 +724,7 @@ class SearchAdapter(ServiceAdapter):
         return float(synopsis.n_aggregated)
 
     def group_work(self, synopsis, group_id: int) -> float:
-        return float(synopsis.index.members(group_id).size)
+        return float(synopsis.index.group_size(group_id))
 
     def full_work(self, partition: SearchPartition) -> float:
         return float(partition.n_docs)

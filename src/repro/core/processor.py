@@ -265,7 +265,7 @@ class AccuracyAwareProcessor:
         # Stage 2: rank groups by correlation, refine best-first.
         # Stable argsort on -corr: ties broken by group id for determinism.
         order = np.argsort(-np.asarray(correlations), kind="stable")
-        report.groups_ranked = [int(g) for g in order]
+        report.groups_ranked = order.tolist()
 
         i_max = self.i_max
         i = 0

@@ -50,11 +50,28 @@ class IndexFile:
     def n_records(self) -> int:
         return len(self._record_to_group)
 
+    def _group(self, group_id: int) -> np.ndarray:
+        if not (0 <= group_id < len(self._groups)):
+            raise IndexError(f"group {group_id} out of range")
+        return self._groups[group_id]
+
     def members(self, group_id: int) -> np.ndarray:
         """Original record ids aggregated by ``group_id`` (sorted copy)."""
-        if not (0 <= group_id < self.n_groups):
-            raise IndexError(f"group {group_id} out of range")
-        return self._groups[group_id].copy()
+        return self._group(group_id).copy()
+
+    def members_view(self, group_id: int) -> np.ndarray:
+        """:meth:`members` without the copy: a read-only view.
+
+        For hot paths that only read (Algorithm 1 touches every ranked
+        group per request); anyone who might write takes :meth:`members`.
+        """
+        view = self._group(group_id).view()
+        view.flags.writeable = False
+        return view
+
+    def group_size(self, group_id: int) -> int:
+        """Number of original records aggregated by ``group_id``."""
+        return self._group(group_id).size
 
     def group_of(self, record_id: int) -> int:
         """Aggregated point that stands for ``record_id``."""

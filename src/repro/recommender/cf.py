@@ -23,7 +23,8 @@ import numpy as np
 from repro.recommender import similarity
 from repro.recommender.matrix import RatingMatrix
 
-__all__ = ["CFPrediction", "CFComponent", "merge_predictions"]
+__all__ = ["CFPrediction", "CFComponent", "GroupedRatings",
+           "merge_predictions"]
 
 
 @dataclass
@@ -119,13 +120,9 @@ class CFComponent:
                    if target_items else np.empty(0, dtype=np.int64))
         if users_nz.size == 0 or targets.size == 0:
             return pred
-        starts = self.matrix.indptr[users_nz]
-        lens = self.matrix.indptr[users_nz + 1] - starts
-        total = int(lens.sum())
-        if total == 0:
+        idx, lens = similarity._row_entries(self.matrix, users_nz)
+        if idx.size == 0:
             return pred
-        seg_end = np.cumsum(lens)
-        idx = np.repeat(starts - (seg_end - lens), lens) + np.arange(total)
         items = self.matrix.item_ids[idx]
         pos = np.searchsorted(targets, items)
         pos_c = np.minimum(pos, targets.size - 1)
@@ -174,6 +171,111 @@ class CFComponent:
     def raters_of(self, item: int) -> np.ndarray:
         """Local users who rated ``item`` (empty array if none)."""
         return self._raters.get(int(item), np.empty(0, dtype=np.int64))
+
+
+class GroupedRatings:
+    """A component's rating rows laid out group by group.
+
+    Algorithm 1's second stage scans one ranked group of original users
+    at a time.  :meth:`CFComponent.partial_prediction` with
+    ``user_ids=members`` gathers the members' CSR rows twice (once for
+    the Pearson weights, again for the Resnick sums) and re-derives the
+    active user's and the targets' lookup structures on every call; this
+    layout stores every group's rows contiguously (``items``, ``vals``,
+    the rating's deviation from its user's mean, the user's index inside
+    the group) so a group is one slice, and :meth:`plan` does the
+    per-request work once.
+
+    :meth:`partial_prediction` is bit-identical to the component's: the
+    five Pearson sums and the two Resnick sums are accumulated by
+    ``bincount`` over the same entries in the same (user, item) order,
+    and finished by the same :func:`similarity._pearson_from_sums`.
+
+    ``groups`` are the synopsis index file's member arrays (sorted user
+    ids, disjoint).
+    """
+
+    def __init__(self, component: CFComponent, groups):
+        matrix = component.matrix
+        self.n_items = matrix.n_items
+        sizes = np.array([g.size for g in groups], dtype=np.int64)
+        users = (np.concatenate(groups).astype(np.int64, copy=False)
+                 if groups else np.empty(0, dtype=np.int64))
+        idx, lens = similarity._row_entries(matrix, users)
+        self._items = matrix.item_ids[idx]
+        self._vals = matrix.values[idx]
+        self._dev = self._vals - np.repeat(component.user_means[users], lens)
+        user_start = np.concatenate(([0], np.cumsum(sizes)))
+        self._seg = np.repeat(
+            np.arange(users.size) - np.repeat(user_start[:-1], sizes), lens)
+        self._sizes = sizes.tolist()
+        self._starts = np.concatenate(([0], np.cumsum(lens)))[user_start].tolist()
+
+    def plan(self, active_items, active_vals, target_items):
+        """The group-independent half of one request, or ``None``.
+
+        Dense ``item -> active slot`` / ``item -> target slot`` tables
+        (-1: absent) replace the per-group ``searchsorted`` calls.
+        ``None`` marks the requests the vectorised Pearson itself hands
+        to other code (duplicate active items, fewer than
+        ``MIN_OVERLAP`` of them): callers use
+        :meth:`CFComponent.partial_prediction` for those.
+        """
+        active_items, active_vals = similarity._sorted_active(
+            active_items, active_vals)
+        if (similarity._has_duplicate_items(active_items)
+                or active_items.size < similarity.MIN_OVERLAP):
+            return None
+        targets = np.unique(np.asarray(list(target_items), dtype=np.int64))
+        return (self._slots(active_items), active_vals,
+                self._slots(targets), targets)
+
+    def _slots(self, sorted_items) -> np.ndarray:
+        table = np.full(self.n_items, -1, dtype=np.int64)
+        known = np.flatnonzero((sorted_items >= 0)
+                               & (sorted_items < self.n_items))
+        table[sorted_items[known]] = known
+        return table
+
+    def partial_prediction(self, plan, group_id: int,
+                           active_mean: float) -> CFPrediction:
+        """Resnick partial sums over group ``group_id``'s users.
+
+        Equal to ``component.partial_prediction(..., user_ids=members)``
+        for the request ``plan`` was made from.
+        """
+        active_slot, active_vals, target_slot, targets = plan
+        pred = CFPrediction(active_mean=active_mean)
+        size = self._sizes[group_id]
+        lo, hi = self._starts[group_id], self._starts[group_id + 1]
+        if lo == hi or targets.size == 0:
+            return pred
+        items, seg = self._items[lo:hi], self._seg[lo:hi]
+        slot = active_slot[items]
+        hit = slot >= 0
+        xa = self._vals[lo:hi][hit]
+        xb = active_vals[slot[hit]]
+        seg_h = seg[hit]
+        n = np.bincount(seg_h, minlength=size)
+        sa, sb, saa, sbb, sab = similarity._sequential_sums(
+            seg_h, size, xa, xb, xa * xa, xb * xb, xa * xb)
+        weights = similarity._pearson_from_sums(n, sa, sb, saa, sbb, sab)
+        t_pos = target_slot[items]
+        on_target = (t_pos >= 0).nonzero()[0]
+        w = weights[seg[on_target]]
+        on_target, w = on_target[w != 0.0], w[w != 0.0]
+        if on_target.size == 0:
+            return pred
+        t_pos = t_pos[on_target]
+        numer = np.bincount(t_pos, weights=w * self._dev[lo:hi][on_target],
+                            minlength=targets.size)
+        denom = np.bincount(t_pos, weights=np.abs(w), minlength=targets.size)
+        touched = np.bincount(t_pos, minlength=targets.size).nonzero()[0]
+        for t in touched.tolist():
+            item = int(targets[t])
+            pred.numer[item] = float(numer[t])
+            pred.denom[item] = float(denom[t])
+        return pred
 
 
 def merge_predictions(parts, active_mean: float | None = None) -> CFPrediction:

@@ -113,6 +113,21 @@ def _sorted_active(active_items, active_vals):
     return active_items, active_vals
 
 
+def _row_entries(matrix, users):
+    """``(entry indices, row lengths)`` of ``users``' CSR rows, in order.
+
+    ``matrix.item_ids[idx]`` / ``matrix.values[idx]`` are the users'
+    rating rows laid end to end; ``lens[k]`` entries belong to
+    ``users[k]``.
+    """
+    starts = matrix.indptr[users]
+    lens = matrix.indptr[users + 1] - starts
+    total = int(lens.sum())
+    seg_end = np.cumsum(lens)
+    idx = np.repeat(starts - (seg_end - lens), lens) + np.arange(total)
+    return idx, lens
+
+
 def _has_duplicate_items(active_items) -> bool:
     return active_items.size > 1 and bool(
         np.any(active_items[1:] == active_items[:-1]))
@@ -168,13 +183,9 @@ def pearson_weights(matrix, active_items, active_vals,
         return pearson_weights_scalar(matrix, active_items, active_vals, users)
     if users.size == 0 or active_items.size < MIN_OVERLAP:
         return np.zeros(users.size)
-    starts = matrix.indptr[users]
-    lens = matrix.indptr[users + 1] - starts
-    total = int(lens.sum())
-    if total == 0:
+    idx, lens = _row_entries(matrix, users)
+    if idx.size == 0:
         return np.zeros(users.size)
-    seg_end = np.cumsum(lens)
-    idx = np.repeat(starts - (seg_end - lens), lens) + np.arange(total)
     items = matrix.item_ids[idx]
     vals = matrix.values[idx]
     seg = np.repeat(np.arange(users.size), lens)

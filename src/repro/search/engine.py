@@ -11,10 +11,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.search.index import InvertedIndex
 from repro.search.scoring import score_query
 
-__all__ = ["SearchHit", "SearchComponent", "merge_topk"]
+__all__ = ["SearchHit", "SearchComponent", "hits_best_first", "merge_topk"]
 
 
 @dataclass(frozen=True, order=True)
@@ -35,6 +37,22 @@ class SearchHit:
     @staticmethod
     def make(doc_id: int, score: float) -> "SearchHit":
         return SearchHit(neg_score=-float(score), doc_id=int(doc_id))
+
+
+def hits_best_first(doc_ids, scores, k: int | None = None) -> list[SearchHit]:
+    """Hits for parallel ``doc_ids`` / ``scores`` arrays, best first.
+
+    One ``lexsort`` puts them in :class:`SearchHit`'s own total order
+    (higher score first, then lower doc id) before any hit object
+    exists, so nothing is compared in Python.  ``k`` truncates.
+    """
+    neg = -np.asarray(scores, dtype=float)
+    doc_ids = np.asarray(doc_ids, dtype=np.int64)
+    order = np.lexsort((doc_ids, neg))
+    if k is not None:
+        order = order[:k]
+    return [SearchHit(neg_score=n, doc_id=d)
+            for n, d in zip(neg[order].tolist(), doc_ids[order].tolist())]
 
 
 class SearchComponent:
@@ -63,15 +81,12 @@ class SearchComponent:
         doc_ids:
             Restrict scoring to these documents (refinement subsets).
         """
+        if k is not None and k < 0:
+            raise ValueError("k must be non-negative")
         scores = score_query(self.index, query_terms, doc_ids=doc_ids)
-        hits = [SearchHit.make(d, s) for d, s in scores.items()]
-        if k is not None:
-            if k < 0:
-                raise ValueError("k must be non-negative")
-            hits = heapq.nsmallest(k, hits)
-            return hits
-        hits.sort()
-        return hits
+        return hits_best_first(
+            np.fromiter(scores, dtype=np.int64, count=len(scores)),
+            np.fromiter(scores.values(), dtype=float, count=len(scores)), k)
 
 
 def merge_topk(hit_lists, k: int) -> list[SearchHit]:

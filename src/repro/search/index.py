@@ -19,6 +19,10 @@ class InvertedIndex:
     Postings are kept as parallel Python lists during building and exposed
     as NumPy arrays on query (cached per term, invalidated on mutation):
     build cost stays linear while query-time scoring is vectorised.
+    Every mutation also bumps :attr:`version`, which is how derived
+    structures held outside the index (the per-doc norm array here, the
+    group-segmented postings in :mod:`repro.search.scoring`) notice that
+    they are stale.
     """
 
     def __init__(self) -> None:
@@ -26,6 +30,21 @@ class InvertedIndex:
         self._doc_len: dict[int, int] = {}
         self._doc_terms: dict[int, dict[str, int]] = {}
         self._cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._version = 0
+        self._norms: tuple[int, np.ndarray, np.ndarray] | None = None
+
+    def __getstate__(self):
+        # The version counter and the norm array are per-process derived
+        # state: leaving them out keeps a snapshot's pickled bytes a
+        # function of its contents alone.
+        state = dict(self.__dict__)
+        del state["_version"], state["_norms"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._version = 0
+        self._norms = None
 
     # ------------------------------------------------------------------
 
@@ -37,12 +56,40 @@ class InvertedIndex:
     def n_terms(self) -> int:
         return len(self._postings)
 
+    @property
+    def version(self) -> int:
+        """Mutation counter: changes whenever a document is added/removed."""
+        return self._version
+
     def doc_ids(self) -> list[int]:
         return sorted(self._doc_len)
 
     def doc_length(self, doc_id: int) -> int:
         """Token count of a document (0 for unknown ids)."""
         return self._doc_len.get(doc_id, 0)
+
+    def doc_norms(self, doc_ids) -> np.ndarray:
+        """Length-normalisation divisor of each doc: ``sqrt(token count)``.
+
+        1.0 for empty and unknown docs, so dividing by it leaves their
+        score untouched.  Read from one sorted ``(ids, norms)`` array
+        pair built on first use and rebuilt after a mutation.
+        """
+        cached = self._norms
+        if cached is None or cached[0] != self._version:
+            n = len(self._doc_len)
+            ids = np.fromiter(self._doc_len, dtype=np.int64, count=n)
+            lens = np.fromiter(self._doc_len.values(), dtype=float, count=n)
+            order = np.argsort(ids)
+            ids, lens = ids[order], lens[order]
+            norms = np.where(lens > 0, np.sqrt(lens), 1.0)
+            cached = self._norms = (self._version, ids, norms)
+        _, ids, norms = cached
+        doc_ids = np.asarray(doc_ids, dtype=np.int64)
+        if ids.size == 0:
+            return np.ones(doc_ids.size)
+        pos = np.minimum(np.searchsorted(ids, doc_ids), ids.size - 1)
+        return np.where(ids[pos] == doc_ids, norms[pos], 1.0)
 
     def doc_frequency(self, term: str) -> int:
         """Number of documents containing ``term``."""
@@ -85,6 +132,7 @@ class InvertedIndex:
             self._cache.pop(t, None)
         self._doc_len[doc_id] = n
         self._doc_terms[doc_id] = counts
+        self._version += 1
 
     def add_document_counts(self, doc_id: int, counts: dict[str, int]) -> None:
         """Index a document given term -> count directly (no token list).
@@ -101,6 +149,7 @@ class InvertedIndex:
             self._cache.pop(t, None)
         self._doc_len[doc_id] = sum(counts.values())
         self._doc_terms[doc_id] = counts
+        self._version += 1
 
     def remove_document(self, doc_id: int) -> None:
         doc_id = int(doc_id)
@@ -114,6 +163,7 @@ class InvertedIndex:
             if not plist:
                 del self._postings[t]
             self._cache.pop(t, None)
+        self._version += 1
 
     def replace_document(self, doc_id: int, terms) -> None:
         """Atomically re-index a document (changed web page)."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["tf_weight", "idf_weight", "score_query", "score_query_scalar",
-           "score_queries"]
+           "score_queries", "GroupedPostings"]
 
 
 def tf_weight(term_freq) -> np.ndarray:
@@ -67,7 +67,7 @@ def score_query(index, query_terms, doc_ids=None) -> dict[int, float]:
         return {}
     uniq, inverse = np.unique(docs, return_inverse=True)
     totals = np.bincount(inverse, weights=contrib, minlength=uniq.size)
-    totals = _length_normalize(index, uniq, totals)
+    totals = totals / index.doc_norms(uniq)  # length-normalise, once
     return {int(d): float(s) for d, s in zip(uniq.tolist(), totals.tolist())}
 
 
@@ -81,10 +81,7 @@ def score_query_scalar(index, query_terms, doc_ids=None) -> dict[int, float]:
     n = index.n_docs
     restrict = None if doc_ids is None else set(int(d) for d in doc_ids)
     scores: dict[int, float] = {}
-    term_counts: dict[str, int] = {}
-    for t in query_terms:
-        term_counts[t] = term_counts.get(t, 0) + 1
-    for term, q_tf in term_counts.items():
+    for term, q_tf in _term_counts(query_terms).items():
         docs, tfs = index.postings(term)
         if docs.size == 0:
             continue
@@ -136,21 +133,26 @@ def score_queries(index, queries, doc_ids=None) -> list[dict[int, float]]:
     uniq, inverse = np.unique(key, return_inverse=True)
     totals = np.bincount(inverse, weights=contrib, minlength=uniq.size)
     u_docs = uniq % span + dmin
-    totals = _length_normalize(index, u_docs, totals)
+    totals = totals / index.doc_norms(u_docs)
     for q, d, s in zip((uniq // span).tolist(), u_docs.tolist(),
                        totals.tolist()):
         results[q][int(d)] = float(s)
     return results
 
 
+def _term_counts(query_terms) -> dict[str, int]:
+    """Query term -> multiplicity, in first-seen order."""
+    counts: dict[str, int] = {}
+    for t in query_terms:
+        counts[t] = counts.get(t, 0) + 1
+    return counts
+
+
 def _term_contributions(index, query_terms):
     """Per-term (docs, contribution) arrays, in first-seen term order."""
     n = index.n_docs
-    term_counts: dict[str, int] = {}
-    for t in query_terms:
-        term_counts[t] = term_counts.get(t, 0) + 1
     parts = []
-    for term, q_tf in term_counts.items():
+    for term, q_tf in _term_counts(query_terms).items():
         docs, tfs = index.postings(term)
         if docs.size == 0:
             continue
@@ -164,8 +166,9 @@ def _term_contributions(index, query_terms):
 def _restrict_postings(docs, contrib, doc_ids, qs=None):
     """Drop postings outside ``doc_ids`` (None means keep everything)."""
     if doc_ids is not None:
-        allowed = np.unique(np.fromiter((int(d) for d in doc_ids),
-                                        dtype=np.int64))
+        if not isinstance(doc_ids, np.ndarray):
+            doc_ids = np.fromiter((int(d) for d in doc_ids), dtype=np.int64)
+        allowed = np.unique(doc_ids.astype(np.int64, copy=False))
         if allowed.size == 0:
             keep = np.zeros(docs.size, dtype=bool)
         else:
@@ -178,9 +181,107 @@ def _restrict_postings(docs, contrib, doc_ids, qs=None):
     return (docs, contrib) if qs is None else (docs, contrib, qs)
 
 
-def _length_normalize(index, doc_ids_arr, totals):
-    """Divide each matched doc's total by sqrt(doc length), once."""
-    lens = np.fromiter((index.doc_length(int(d)) for d in doc_ids_arr),
-                       dtype=float, count=doc_ids_arr.size)
-    pos = lens > 0
-    return np.where(pos, totals / np.where(pos, np.sqrt(lens), 1.0), totals)
+class GroupedPostings:
+    """One index's postings, segmented by synopsis group.
+
+    Algorithm 1's second stage scores one ranked group of original pages
+    at a time.  ``score_query(index, terms, doc_ids=members)`` answers
+    that by building every query term's contributions over the *whole*
+    index and discarding all but the group's; this view does the part
+    that does not depend on the group once.  Per doc (at construction):
+    its group, its rank inside the group and its length norm.  Per term
+    (on first use, cached like ``InvertedIndex._cache``): the postings
+    stably re-ordered by group with each group's span, their ``sqrt(tf)``
+    and the term's ``idf**2``.  Per request (:meth:`plan`): each query
+    term's contribution array.  :meth:`score_group` is then one slice
+    per query term and a ``bincount`` over the group's own docs.
+
+    Scores are bit-identical to ``score_query``: a doc's contributions
+    are accumulated by ``bincount`` in the same query-term order and
+    normalised once by the same ``sqrt(doc length)``.
+
+    ``groups`` are the synopsis index file's member arrays (sorted
+    record ids, disjoint).  Postings of docs in no group are ignored,
+    as ``doc_ids=members`` ignored them.  The view is stale once
+    ``index.version`` moves past :attr:`version`.
+    """
+
+    def __init__(self, index, groups):
+        self.index = index
+        self.version = index.version
+        sizes = [g.size for g in groups]
+        starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        members = (np.concatenate(groups).astype(np.int64, copy=False)
+                   if groups else np.empty(0, dtype=np.int64))
+        self._members = members
+        self._norms = index.doc_norms(members)
+        self._starts = starts.tolist()
+        n = int(members.max()) + 1 if members.size else 0
+        self._group_of = np.full(n, -1, dtype=np.int64)
+        self._group_of[members] = np.repeat(np.arange(len(groups)), sizes)
+        self._rank = np.zeros(n, dtype=np.int64)
+        self._rank[members] = (np.arange(members.size)
+                               - np.repeat(starts[:-1], sizes))
+        # term -> (idf**2, sqrt_tf, rank, {group: (lo, hi)}) or None.
+        # Filled without a lock: racing builders store equal entries.
+        self._terms: dict[str, tuple | None] = {}
+
+    def _term(self, term: str):
+        try:
+            return self._terms[term]
+        except KeyError:
+            pass
+        docs, tfs = self.index.postings(term)
+        entry = None
+        idf = idf_weight(self.index.n_docs, docs.size) if docs.size else 0.0
+        if idf != 0.0:
+            sqrt_tf = tf_weight(tfs)
+            grouped = np.flatnonzero((docs >= 0) & (docs < self._group_of.size))
+            group = self._group_of[docs[grouped]]
+            grouped, group = grouped[group >= 0], group[group >= 0]
+            by_group = np.argsort(group, kind="stable")
+            order = grouped[by_group]
+            present, first = np.unique(group[by_group], return_index=True)
+            bounds = first.tolist() + [order.size]
+            spans = dict(zip(present.tolist(), zip(bounds, bounds[1:])))
+            entry = (idf * idf, sqrt_tf[order], self._rank[docs[order]], spans)
+        self._terms[term] = entry
+        return entry
+
+    def plan(self, query_terms) -> list:
+        """The group-independent half of scoring one query.
+
+        One ``(contributions, ranks, spans)`` triple per query term that
+        can score at all (present, ``idf > 0``), in first-seen term
+        order — the order ``score_query`` concatenates terms in.
+        """
+        plan = []
+        for term, q_tf in _term_counts(query_terms).items():
+            entry = self._term(term)
+            if entry is not None:
+                idf2, sqrt_tf, rank, spans = entry
+                plan.append((q_tf * sqrt_tf * idf2, rank, spans))
+        return plan
+
+    def score_group(self, plan, group_id: int):
+        """``(doc_ids, scores)`` of group ``group_id``'s matching docs.
+
+        Doc ids ascend; equal to the items of
+        ``score_query(index, terms, doc_ids=groups[group_id])`` for the
+        ``terms`` the plan was made from.
+        """
+        lo, hi = self._starts[group_id], self._starts[group_id + 1]
+        ranks, contribs = [], []
+        for contrib, rank, spans in plan:
+            span = spans.get(group_id)
+            if span is not None:
+                ranks.append(rank[span[0]:span[1]])
+                contribs.append(contrib[span[0]:span[1]])
+        if not ranks:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        rank = ranks[0] if len(ranks) == 1 else np.concatenate(ranks)
+        contrib = contribs[0] if len(ranks) == 1 else np.concatenate(contribs)
+        totals = np.bincount(rank, weights=contrib, minlength=hi - lo)
+        matched = np.bincount(rank, minlength=hi - lo).nonzero()[0]
+        return (self._members[lo:hi][matched],
+                totals[matched] / self._norms[lo:hi][matched])

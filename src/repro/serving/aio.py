@@ -157,7 +157,7 @@ async def aprocess_component(adapter, partition, synopsis, request,
 
     # Stage 2: rank groups by correlation, refine best-first.
     order = np.argsort(-np.asarray(correlations), kind="stable")
-    report.groups_ranked = [int(g) for g in order]
+    report.groups_ranked = order.tolist()
     cap = effective_i_max(synopsis.n_aggregated, i_max, i_max_fraction)
     i = 0
 

@@ -1,0 +1,125 @@
+"""Group-segmented Resnick sums vs the component's own, bit for bit.
+
+``GroupedRatings.partial_prediction(plan, g, mean)`` must equal
+``CFComponent.partial_prediction(..., user_ids=members)`` — same items,
+same floats — for any rating matrix, grouping and request the plan
+accepts; requests it does not accept (duplicate active items, fewer than
+``MIN_OVERLAP``) must be exactly the ones the vectorised Pearson defers.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from repro.recommender.cf import CFComponent, GroupedRatings
+from repro.recommender.matrix import RatingMatrix
+from repro.recommender.similarity import MIN_OVERLAP
+
+N_ITEMS = 7
+
+# 0 = unrated; a user may have rated nothing at all.
+rows_st = st.lists(
+    st.lists(st.integers(0, 5), min_size=N_ITEMS, max_size=N_ITEMS),
+    min_size=1, max_size=10)
+# Item ids may repeat (deferred) and may lie outside the matrix.
+active_st = st.lists(
+    st.tuples(st.integers(0, N_ITEMS + 1), st.integers(1, 5)), max_size=8)
+targets_st = st.lists(st.integers(0, N_ITEMS + 1), max_size=5)
+
+
+def build_component(rows) -> CFComponent:
+    dense = np.asarray(rows, dtype=float)
+    users, items = np.nonzero(dense)
+    return CFComponent(RatingMatrix(users, items, dense[users, items],
+                                    n_users=dense.shape[0], n_items=N_ITEMS))
+
+
+def draw_groups(data, n_users: int, n_groups: int) -> list[np.ndarray]:
+    owner = data.draw(st.lists(st.integers(0, n_groups - 1),
+                               min_size=n_users, max_size=n_users))
+    return [np.array([u for u in range(n_users) if owner[u] == g],
+                     dtype=np.int64) for g in range(n_groups)]
+
+
+def split_active(active):
+    items = np.array([i for i, _ in active], dtype=np.int64)
+    vals = np.array([v for _, v in active], dtype=float)
+    order = np.argsort(items, kind="stable")
+    return items[order], vals[order]
+
+
+def assert_same_prediction(got, expect):
+    assert got.active_mean == expect.active_mean
+    assert got.numer == expect.numer
+    assert got.denom == expect.denom
+
+
+class TestGroupedRatings:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=rows_st, active=active_st, targets=targets_st,
+           n_groups=st.integers(1, 4), data=st.data())
+    def test_matches_component_partial_prediction(self, rows, active,
+                                                  targets, n_groups, data):
+        comp = build_component(rows)
+        groups = draw_groups(data, comp.n_users, n_groups)
+        layout = GroupedRatings(comp, groups)
+        items, vals = split_active(active)
+        plan = layout.plan(items, vals, targets)
+        deferred = (np.unique(items).size != items.size
+                    or items.size < MIN_OVERLAP)
+        assert (plan is None) == deferred
+        if plan is None:
+            return
+        mean = float(vals.mean())
+        for g, members in enumerate(groups):
+            assert_same_prediction(
+                layout.partial_prediction(plan, g, mean),
+                comp.partial_prediction(items, vals, targets, mean,
+                                        user_ids=members))
+            assert_same_prediction(
+                layout.partial_prediction(plan, g, mean),
+                comp.partial_prediction_scalar(items, vals, targets, mean,
+                                               user_ids=members))
+
+    def test_named_edge_cases(self):
+        # user 2 rated nothing; group 1 is empty; group 2 holds only the
+        # user without ratings; one target is rated by nobody, one lies
+        # outside the matrix.
+        comp = build_component([[5, 3, 0, 1, 0, 4, 2],
+                                [4, 0, 0, 1, 2, 5, 0],
+                                [0, 0, 0, 0, 0, 0, 0],
+                                [1, 5, 3, 0, 4, 0, 2]])
+        groups = [np.array([0, 1, 3]), np.array([], dtype=np.int64),
+                  np.array([2])]
+        layout = GroupedRatings(comp, groups)
+        items = np.array([0, 1, 3, 5])
+        vals = np.array([5.0, 2.0, 1.0, 4.0])
+        targets = [4, 6, 2, N_ITEMS + 1, 4]
+        plan = layout.plan(items, vals, targets)
+        for g, members in enumerate(groups):
+            assert_same_prediction(
+                layout.partial_prediction(plan, g, 3.0),
+                comp.partial_prediction(items, vals, targets, 3.0,
+                                        user_ids=members))
+        assert layout.partial_prediction(plan, 0, 3.0).numer
+        assert not layout.partial_prediction(plan, 1, 3.0).numer
+        assert not layout.partial_prediction(plan, 2, 3.0).numer
+
+    def test_plan_defers_what_the_vectorised_pearson_defers(self):
+        comp = build_component([[5, 3, 0, 1, 0, 4, 2]])
+        layout = GroupedRatings(comp, [np.array([0])])
+        assert layout.plan([3, 3, 5], [1.0, 2.0, 3.0], [0]) is None
+        assert layout.plan([3], [1.0], [0]) is None
+        assert layout.plan([], [], [0]) is None
+        assert layout.plan([3, 5], [1.0, 2.0], [0]) is not None
+
+    def test_unsorted_active_items_are_sorted_by_the_plan(self):
+        comp = build_component([[5, 3, 0, 1, 0, 4, 2],
+                                [4, 1, 0, 2, 2, 5, 0]])
+        members = np.array([0, 1])
+        layout = GroupedRatings(comp, [members])
+        items, vals = [5, 0, 3], [4.0, 5.0, 1.0]
+        plan = layout.plan(items, vals, [1, 4])
+        assert_same_prediction(
+            layout.partial_prediction(plan, 0, 2.5),
+            comp.partial_prediction(items, vals, [1, 4], 2.5,
+                                    user_ids=members))
