@@ -4,9 +4,10 @@
 ServiceAdapter` with a real wall-clock stall per online operation,
 modelling what the simulator abstracts away: in the paper's deployment a
 component is a *remote* node, and every synopsis probe or group
-refinement pays a storage/network round trip.  Stalls sleep (releasing
-the GIL), so a thread-pool backend overlaps them across components even
-on a single core — the effect the serving benchmark quantifies.
+refinement pays a storage/network round trip.  Stalls sleep — yielding
+the GIL and the process's kernel slot (:mod:`repro.core.slot`) — so a
+thread-pool backend overlaps them across components even on a single
+core — the effect the serving benchmark quantifies.
 
 Offline operations (creation, aggregation) and work accounting are
 delegated untouched, so a wrapped adapter builds identical synopses and
@@ -16,11 +17,10 @@ changes.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.adapters import ServiceAdapter
+from repro.core.slot import KERNEL_SLOT
 
 __all__ = ["IOStallAdapter"]
 
@@ -67,12 +67,12 @@ class IOStallAdapter(ServiceAdapter):
 
     def initial_result(self, synopsis, request):
         if self.synopsis_stall:
-            time.sleep(self.synopsis_stall)
+            KERNEL_SLOT.sleep(self.synopsis_stall)
         return self.inner.initial_result(synopsis, request)
 
     def refine(self, partition, synopsis, group_id: int, request, state):
         if self.group_stall:
-            time.sleep(self.group_stall)
+            KERNEL_SLOT.sleep(self.group_stall)
         return self.inner.refine(partition, synopsis, group_id, request, state)
 
     def finalize(self, state, request):

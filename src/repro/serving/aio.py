@@ -52,7 +52,8 @@ from repro.core.processor import ProcessingReport, effective_i_max
 from repro.serving.adapters import IOStallAdapter
 from repro.serving.admission import AdmissionController
 from repro.serving.backends import ComponentOutcome, ComponentTask, \
-    ExecutionBackend, _task_recorder, run_component_task, stamp_envelope
+    ExecutionBackend, _task_recorder, run_component_task, stamp_envelope, \
+    submit_all
 from repro.serving.envelope import aserve_via
 from repro.serving.harness import ServingRunStats, apply_class_breakdown, \
     apply_hedge_delta, apply_payload_delta, collect_hedge_counters, \
@@ -328,9 +329,14 @@ class AsyncExecutionBackend(ExecutionBackend):
 
     async def arun_tasks(self, tasks: Sequence[ComponentTask],
                          ) -> list[ComponentOutcome]:
-        """Execute ``tasks`` concurrently on the current loop, in order."""
-        outcomes = list(await asyncio.gather(
-            *(self.arun_task(t) for t in tasks)))
+        """Execute ``tasks`` concurrently on the current loop, in order.
+
+        Hook tasks go to their owner straight from the loop thread and
+        their futures are awaited — no executor thread parks on an RPC.
+        """
+        outcomes = list(await asyncio.gather(*map(
+            asyncio.wrap_future, submit_all(
+                tasks, lambda t: asyncio.ensure_future(self.arun_task(t))))))
         get_tracer().ingest_outcomes(outcomes)
         return outcomes
 
@@ -359,7 +365,7 @@ class AsyncExecutionBackend(ExecutionBackend):
         return asyncio.run_coroutine_threadsafe(
             self.arun_tasks(list(tasks)), self._ensure_loop()).result()
 
-    def submit_task(self, task: ComponentTask) -> "Future[ComponentOutcome]":
+    def _submit_plain(self, task: ComponentTask) -> "Future[ComponentOutcome]":
         return asyncio.run_coroutine_threadsafe(self.arun_task(task),
                                                 self._ensure_loop())
 

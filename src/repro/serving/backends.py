@@ -22,6 +22,10 @@ sub-operations run:
   :class:`~repro.core.state.StateRef` travels, so state distribution
   cost scales with *update* rate (amortised distribution).
 
+At most one Algorithm-1 kernel runs per interpreter (:mod:`repro.core.
+slot`, held at the one execution choke point below): thread pools
+overlap stalls and I/O, processes add CPU parallelism.
+
 All backends consume :class:`ComponentTask` values and return
 :class:`ComponentOutcome` values in task order.  A task references its
 component's state by a pinned ``(component, epoch)``
@@ -37,7 +41,6 @@ crosses the process boundary (per task vs per epoch), which is what
 
 from __future__ import annotations
 
-import abc
 import os
 import pickle
 import shutil
@@ -50,6 +53,7 @@ from typing import Any, Sequence
 from repro.core.clock import DeadlineClock, monotonic
 from repro.core.processor import (ProcessingReport, process_component,
                                   process_component_batch)
+from repro.core.slot import KERNEL_SLOT
 from repro.core.state import ComponentState, StaleEpochError, StateRef
 from repro.serving.telemetry import (MetricsRegistry, SpanRecorder,
                                      get_tracer, trace_context_of)
@@ -67,6 +71,7 @@ __all__ = [
     "run_component_task",
     "run_component_batch",
     "stamp_envelope",
+    "submit_all",
 ]
 
 
@@ -107,13 +112,13 @@ class ComponentTask:
     i_max_fraction: float | None = None
     start_time: float | None = None
     envelope: Any = None
-    # In-process execution override: when set, backends run the task by
-    # calling ``runner(task)`` instead of the default resolve-and-process
-    # path.  This is how a remote servable routes its per-component tasks
-    # over its own socket while still flowing through any local backend's
-    # scheduling (hedging futures included).  Runners are process-local —
-    # a runner task must not be pickled to another process.
-    runner: Any = None
+    # Submit hook: when set, the task's *owner* executes it, not a
+    # backend — ``submit(tasks) -> futures`` is non-blocking and takes
+    # every consecutive task sharing the hook at once (a remote servable
+    # ships one shard copy's components as one frame).  Backends hand
+    # hook tasks over through :func:`submit_all`; hooks are
+    # process-local, so a hook task must not be pickled.
+    submit: Any = None
 
     def resolve_state(self) -> tuple[Any, Any]:
         """The ``(partition, synopsis)`` this task must execute against.
@@ -186,34 +191,34 @@ def _task_recorder(task: ComponentTask) -> SpanRecorder | None:
 
 
 def run_component_task(task: ComponentTask) -> ComponentOutcome:
-    """Execute one task (module-level so process pools can pickle it)."""
-    if task.runner is not None:
-        return task.runner(task)
+    """Execute one task inside the process's kernel slot, where its
+    deadline clock starts (module-level so process pools can pickle it)."""
     rec = _task_recorder(task)
-    if rec is None:
-        partition, synopsis = task.resolve_state()
-        result, report = process_component(
-            task.adapter, partition, synopsis, task.request,
-            task.deadline, clock=task.clock,
-            i_max=task.i_max, i_max_fraction=task.i_max_fraction,
-            start_time=task.start_time,
-        )
-        spans = None
-    else:
-        with rec.span("state.fetch", component=task.component) as fetch:
+    with KERNEL_SLOT:
+        if rec is None:
             partition, synopsis = task.resolve_state()
-        if task.state_ref is not None:
-            fetch.tag(epoch=task.state_ref.epoch)
-        with rec.span("kernel", component=task.component) as kernel:
             result, report = process_component(
                 task.adapter, partition, synopsis, task.request,
                 task.deadline, clock=task.clock,
                 i_max=task.i_max, i_max_fraction=task.i_max_fraction,
                 start_time=task.start_time,
             )
-        kernel.tag(groups_processed=report.groups_processed,
-                   work_units=report.work_units)
-        spans = tuple(rec.spans)
+            spans = None
+        else:
+            with rec.span("state.fetch", component=task.component) as fetch:
+                partition, synopsis = task.resolve_state()
+            if task.state_ref is not None:
+                fetch.tag(epoch=task.state_ref.epoch)
+            with rec.span("kernel", component=task.component) as kernel:
+                result, report = process_component(
+                    task.adapter, partition, synopsis, task.request,
+                    task.deadline, clock=task.clock,
+                    i_max=task.i_max, i_max_fraction=task.i_max_fraction,
+                    start_time=task.start_time,
+                )
+            kernel.tag(groups_processed=report.groups_processed,
+                       work_units=report.work_units)
+            spans = tuple(rec.spans)
     if task.state_ref is not None:
         report.state_epoch = task.state_ref.epoch
     stamp_envelope(report, task)
@@ -226,10 +231,10 @@ def run_component_batch(tasks: Sequence[ComponentTask]) -> list[ComponentOutcome
 
     Tasks sharing an ``(adapter, partition, synopsis, i_max)`` identity
     run through :func:`repro.core.processor.process_component_batch` —
-    one vectorized stage-1 pass for the group — while runner tasks and
-    singletons take their usual paths.  Outcomes come back in task
-    order, bit-identical to per-task :func:`run_component_task` calls
-    under deterministic clocks.
+    one vectorized stage-1 pass for the group — while singletons take
+    their usual path.  Outcomes come back in task order, bit-identical
+    to per-task :func:`run_component_task` calls under deterministic
+    clocks.  The whole batch runs inside one hold of the kernel slot.
 
     Module-level so process pools can pickle it; grouping keys on object
     identity, which holds worker-side because one pickled batch
@@ -239,62 +244,58 @@ def run_component_batch(tasks: Sequence[ComponentTask]) -> list[ComponentOutcome
     """
     outcomes: list[ComponentOutcome | None] = [None] * len(tasks)
     groups: dict[tuple, list] = {}
-    order: list[tuple] = []
-    for i, task in enumerate(tasks):
-        if task.runner is not None:
-            outcomes[i] = task.runner(task)
-            continue
-        rec = _task_recorder(task)
-        if rec is None:
-            partition, synopsis = task.resolve_state()
-        else:
-            with rec.span("state.fetch", component=task.component) as fetch:
+    with KERNEL_SLOT:
+        for i, task in enumerate(tasks):
+            rec = _task_recorder(task)
+            if rec is None:
                 partition, synopsis = task.resolve_state()
-            if task.state_ref is not None:
-                fetch.tag(epoch=task.state_ref.epoch)
-        key = (id(task.adapter), id(partition), id(synopsis),
-               task.i_max, task.i_max_fraction)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((i, task, partition, synopsis, rec))
-    for key in order:
-        entries = groups[key]
-        _, first, partition, synopsis, _ = entries[0]
-        t_batch0 = monotonic()
-        pairs = process_component_batch(
-            first.adapter, partition, synopsis,
-            [t.request for _, t, _, _, _ in entries],
-            [t.deadline for _, t, _, _, _ in entries],
-            clocks=[t.clock for _, t, _, _, _ in entries],
-            i_max=first.i_max, i_max_fraction=first.i_max_fraction,
-            start_times=[t.start_time for _, t, _, _, _ in entries],
-        )
-        t_batch1 = monotonic()
-        for (i, task, _, _, rec), (result, report) in zip(entries, pairs):
-            if task.state_ref is not None:
-                report.state_epoch = task.state_ref.epoch
-            stamp_envelope(report, task)
-            spans = None
-            if rec is not None:
-                # One vectorized pass served the whole group; every
-                # member's kernel span covers it, tagged with the share.
-                kernel = rec.span("kernel", component=task.component,
-                                  batch_size=len(entries),
-                                  groups_processed=report.groups_processed,
-                                  work_units=report.work_units)
-                kernel.span.start = t_batch0
-                kernel.finish(end=t_batch1)
-                spans = tuple(rec.spans)
-            outcomes[i] = ComponentOutcome(component=task.component,
-                                           result=result, report=report,
-                                           spans=spans)
+            else:
+                with rec.span("state.fetch",
+                              component=task.component) as fetch:
+                    partition, synopsis = task.resolve_state()
+                if task.state_ref is not None:
+                    fetch.tag(epoch=task.state_ref.epoch)
+            key = (id(task.adapter), id(partition), id(synopsis),
+                   task.i_max, task.i_max_fraction)
+            groups.setdefault(key, []).append(
+                (i, task, partition, synopsis, rec))
+        for entries in groups.values():
+            _, first, partition, synopsis, _ = entries[0]
+            t_batch0 = monotonic()
+            pairs = process_component_batch(
+                first.adapter, partition, synopsis,
+                [t.request for _, t, _, _, _ in entries],
+                [t.deadline for _, t, _, _, _ in entries],
+                clocks=[t.clock for _, t, _, _, _ in entries],
+                i_max=first.i_max, i_max_fraction=first.i_max_fraction,
+                start_times=[t.start_time for _, t, _, _, _ in entries],
+            )
+            t_batch1 = monotonic()
+            for (i, task, _, _, rec), (result, report) in zip(entries, pairs):
+                if task.state_ref is not None:
+                    report.state_epoch = task.state_ref.epoch
+                stamp_envelope(report, task)
+                spans = None
+                if rec is not None:
+                    # One vectorized pass served the whole group; every
+                    # member's kernel span covers it, tagged with the share.
+                    kernel = rec.span("kernel", component=task.component,
+                                      batch_size=len(entries),
+                                      groups_processed=report.groups_processed,
+                                      work_units=report.work_units)
+                    kernel.span.start = t_batch0
+                    kernel.finish(end=t_batch1)
+                    spans = tuple(rec.spans)
+                outcomes[i] = ComponentOutcome(component=task.component,
+                                               result=result, report=report,
+                                               spans=spans)
     return outcomes  # type: ignore[return-value]
 
 
-def _scatter_batch_future(batch_future: Future, count: int) -> list[Future]:
+def _scatter_batch_future(batch_future: Future, count: int,
+                          make_future=Future) -> list[Future]:
     """Fan one batch future out into per-task outcome futures."""
-    futures = [Future() for _ in range(count)]
+    futures = [make_future() for _ in range(count)]
     for f in futures:
         f.set_running_or_notify_cancel()
 
@@ -312,8 +313,57 @@ def _scatter_batch_future(batch_future: Future, count: int) -> list[Future]:
     return futures
 
 
-class ExecutionBackend(abc.ABC):
-    """Strategy for executing a request's per-component tasks."""
+def submit_all(tasks: Sequence[ComponentTask], submit_plain) -> list:
+    """Dispatch ``tasks``; the one place hook tasks are told apart.
+
+    Each run of consecutive tasks sharing a submit hook goes to it as
+    one non-blocking call (one shard copy, one frame), all of them
+    *before* the first plain task reaches ``submit_plain`` — which may
+    execute inline — so remote copies compute while local work runs.
+    Returns, per task, the hook's future or ``submit_plain(task)``.
+    """
+    tasks = list(tasks)
+    out: list = [None] * len(tasks)
+    try:
+        i = 0
+        while i < len(tasks):
+            hook, j = tasks[i].submit, i + 1
+            if hook is not None:
+                while j < len(tasks) and tasks[j].submit == hook:
+                    j += 1
+                out[i:j] = hook(tasks[i:j])
+            i = j
+        for i, task in enumerate(tasks):
+            if task.submit is None:
+                out[i] = submit_plain(task)
+        return out
+    except BaseException:
+        _abandon(out)
+        raise
+
+
+def _abandon(results) -> None:
+    """Cancel what is still pending: queued copies, in-flight RPCs."""
+    for r in results:
+        if isinstance(r, Future):
+            r.cancel()
+
+
+def _gather(results) -> list[ComponentOutcome]:
+    """Outcomes of :func:`submit_all` results; one failure abandons the rest."""
+    try:
+        return [r.result() if isinstance(r, Future) else r for r in results]
+    except BaseException:
+        _abandon(results)
+        raise
+
+
+class ExecutionBackend:
+    """Strategy for executing a request's per-component tasks.
+
+    Subclasses implement :meth:`_submit_plain`; the public entry points
+    hand hook tasks to their owner first (:func:`submit_all`).
+    """
 
     name: str = "abstract"
 
@@ -332,9 +382,14 @@ class ExecutionBackend(abc.ABC):
                                                 MetricsRegistry())
         return registry
 
-    @abc.abstractmethod
     def run_tasks(self, tasks: Sequence[ComponentTask]) -> list[ComponentOutcome]:
         """Execute ``tasks`` and return their outcomes *in task order*."""
+        return _gather(self.submit_tasks(tasks))
+
+    def submit_tasks(self, tasks: Sequence[ComponentTask]) -> list[Future]:
+        """Submit ``tasks`` (one shard copy, say); one future per task."""
+        # Through the public submit_task: wrappers override that one.
+        return submit_all(tasks, self.submit_task)
 
     def submit_task(self, task: ComponentTask) -> "Future[ComponentOutcome]":
         """Submit one task, returning a future for its outcome.
@@ -344,11 +399,14 @@ class ExecutionBackend(abc.ABC):
         cancels the losing copy — :meth:`Future.cancel` only takes effect
         while the task is still queued, which is exactly Dean & Barroso's
         tied-request semantics (an in-service copy runs to completion).
-
-        The base implementation executes inline and returns an
-        already-completed future, so backends without queues (sequential)
-        still satisfy the interface — they simply can never hedge.
         """
+        return submit_all([task], self._submit_plain)[0]
+
+    def _submit_plain(self, task: ComponentTask) -> "Future[ComponentOutcome]":
+        """Submit one hook-less task.  The base implementation executes
+        inline and returns an already-completed future, so backends
+        without queues (sequential) still satisfy the interface — their
+        local tasks simply can never hedge."""
         future: Future = Future()
         if future.set_running_or_notify_cancel():
             try:
@@ -366,7 +424,7 @@ class ExecutionBackend(abc.ABC):
         batch is never *worse* than unbatched dispatch.  Outcomes are
         bit-identical to per-task submission either way.
         """
-        return [self.submit_task(task) for task in tasks]
+        return self.submit_tasks(tasks)
 
     def payload_counters(self) -> dict:
         """Cumulative serialized-payload accounting (thread-safe snapshot).
@@ -403,7 +461,9 @@ class SequentialBackend(ExecutionBackend):
     name = "sequential"
 
     def run_tasks(self, tasks: Sequence[ComponentTask]) -> list[ComponentOutcome]:
-        return [run_component_task(t) for t in tasks]
+        # Remote copies go out first, local tasks run inline (no
+        # futures), then the gather.
+        return _gather(submit_all(tasks, run_component_task))
 
     def submit_batch(self, tasks: Sequence[ComponentTask]) -> list[Future]:
         tasks = list(tasks)
@@ -445,10 +505,7 @@ class ThreadPoolBackend(ExecutionBackend):
                     thread_name_prefix="repro-serving")
             return self._pool
 
-    def run_tasks(self, tasks: Sequence[ComponentTask]) -> list[ComponentOutcome]:
-        return list(self._ensure_pool().map(run_component_task, tasks))
-
-    def submit_task(self, task: ComponentTask) -> "Future[ComponentOutcome]":
+    def _submit_plain(self, task: ComponentTask) -> "Future[ComponentOutcome]":
         return self._ensure_pool().submit(run_component_task, task)
 
     def submit_batch(self, tasks: Sequence[ComponentTask]) -> list[Future]:
@@ -532,10 +589,7 @@ class ProcessPoolBackend(ExecutionBackend):
                     mp_context=_preferred_mp_context(self.start_method))
             return self._pool
 
-    def run_tasks(self, tasks: Sequence[ComponentTask]) -> list[ComponentOutcome]:
-        return [f.result() for f in [self.submit_task(t) for t in tasks]]
-
-    def submit_task(self, task: ComponentTask) -> "Future[ComponentOutcome]":
+    def _submit_plain(self, task: ComponentTask) -> "Future[ComponentOutcome]":
         blob = pickle.dumps(task)
         self._task_bytes.inc(len(blob))
         self._tasks_shipped.inc()
@@ -778,10 +832,7 @@ class PersistentProcessBackend(ExecutionBackend):
 
     # -- ExecutionBackend ------------------------------------------------
 
-    def run_tasks(self, tasks: Sequence[ComponentTask]) -> list[ComponentOutcome]:
-        return [f.result() for f in [self.submit_task(t) for t in tasks]]
-
-    def submit_task(self, task: ComponentTask) -> "Future[ComponentOutcome]":
+    def _submit_plain(self, task: ComponentTask) -> "Future[ComponentOutcome]":
         pool = self._ensure_pool()
         ref = task.state_ref
         if ref is not None and (ref.store is not None
@@ -907,8 +958,8 @@ class BatchingBackend(ExecutionBackend):
     Future semantics match the router tier's hedging needs: a task's
     future can be cancelled until its bucket flushes (the queued-only
     window); at flush each future transitions to running and the batch
-    is in service.  Runner tasks (remote execution) bypass coalescing
-    straight to the inner backend.
+    is in service.  Hook tasks (remote execution) never reach a bucket:
+    :func:`submit_all` hands them to their owner first.
 
     Parameters
     ----------
@@ -947,10 +998,8 @@ class BatchingBackend(ExecutionBackend):
     # -- batching mechanics ---------------------------------------------
 
     @staticmethod
-    def _batch_key(task: ComponentTask) -> tuple | None:
-        """Coalescing identity, or None for tasks that must not batch."""
-        if task.runner is not None:
-            return None
+    def _batch_key(task: ComponentTask) -> tuple:
+        """Coalescing identity: same adapter, same pinned state."""
         ref = task.state_ref
         if ref is not None:
             return ("ref", id(task.adapter), ref.store_id, ref.component,
@@ -1026,10 +1075,8 @@ class BatchingBackend(ExecutionBackend):
 
     # -- ExecutionBackend ------------------------------------------------
 
-    def submit_task(self, task: ComponentTask) -> "Future[ComponentOutcome]":
+    def _submit_plain(self, task: ComponentTask) -> "Future[ComponentOutcome]":
         key = self._batch_key(task)
-        if key is None:
-            return self.inner.submit_task(task)
         future: Future = Future()
         now = monotonic()
         with self._cond:
@@ -1048,10 +1095,6 @@ class BatchingBackend(ExecutionBackend):
         if full:
             self._flush(bucket.entries)
         return future
-
-    def run_tasks(self, tasks: Sequence[ComponentTask]) -> list[ComponentOutcome]:
-        futures = [self.submit_task(t) for t in tasks]
-        return [f.result() for f in futures]
 
     def payload_counters(self) -> dict:
         return self.inner.payload_counters()

@@ -314,9 +314,10 @@ class ShardedService:
         owned and closed by :meth:`close`.
     hedge:
         Optional :class:`~repro.strategies.reissue.ReissueStrategy`
-        enabling live hedged re-issue (see module docstring).  Requires a
-        backend with real queues (thread/process/async) to have any
-        effect and at least one shard with two replicas.
+        enabling live hedged re-issue (see module docstring).  Needs at
+        least one shard with two replicas; in-process replicas also need
+        a backend with real queues (thread/process/async), remote ones
+        hedge from any backend — a shard copy is submitted as one unit.
     hedge_budget:
         Cap on the fraction of shard calls that may be re-issued (Dean &
         Barroso's ~5% rule, the default): a hedge is only issued while
@@ -747,7 +748,7 @@ class ShardedService:
         primary = []
         for s in range(self.n_shards):
             tasks = self._build_tasks(request, deadline, clocks, s, picks[s])
-            primary.append([exec_backend.submit_task(t) for t in tasks])
+            primary.append(exec_backend.submit_tasks(tasks))
         hedges: list[list | None] = [None] * self.n_shards
         hedge_replicas: list[int | None] = [None] * self.n_shards
         hedge_issued_at: list[float | None] = [None] * self.n_shards
@@ -798,9 +799,10 @@ class ShardedService:
                                       winner=hedge_won,
                                       cancelled=not hedge_won)
                 if loser:
-                    # Best-effort tied-request cancellation: only queued
-                    # copies can be cancelled; running ones complete and
-                    # their answers are discarded.
+                    # Best-effort tied-request cancellation: a queued
+                    # copy is dropped and a remote copy's one RPC is
+                    # abandoned; a copy running in this process completes
+                    # and its answer is discarded.
                     for f in loser:
                         f.cancel()
             if not unfinished:
@@ -828,7 +830,7 @@ class ShardedService:
                     fresh = self._hedge_clocks(clocks, s)
                     tasks = group.replicas[sibling].build_tasks(
                         request, deadline * self._budgets[s], fresh)
-                    hedges[s] = [exec_backend.submit_task(t) for t in tasks]
+                    hedges[s] = exec_backend.submit_tasks(tasks)
                     issued_now = True
             if issued_now:
                 # A hedge copy may already have completed while it was

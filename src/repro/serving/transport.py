@@ -19,8 +19,8 @@ Servable` protocol:
   ``serve`` / ``aserve`` / update methods, so it plugs into
   :class:`~repro.serving.router.ReplicaGroup` (and, wrapped in one,
   :class:`~repro.serving.router.ShardedService`) **unchanged**: its
-  tasks carry a ``runner`` that forwards execution over the socket
-  while the local backend keeps doing the scheduling.
+  tasks carry a submit hook that ships one shard copy's components as
+  **one** pipelined frame: a router's fan-out is a scatter-gather.
 
 - **State plane** — :class:`RemoteBackend` is the socket analogue of
   :class:`~repro.serving.backends.PersistentProcessBackend`: worker
@@ -61,7 +61,8 @@ copy returns ``False`` and the remote copy runs to completion —
 exactly Dean & Barroso's tied-request semantics for in-service copies.
 :class:`RemoteChannel` futures stay cancellable until their reply
 arrives: cancelling one in-flight RPC leaves its siblings on the same
-socket untouched (the reader simply drops the late reply).
+socket untouched (the reader simply drops the late reply); cancelling
+any task of a :class:`RemoteServable` shard copy abandons its one RPC.
 """
 
 from __future__ import annotations
@@ -77,6 +78,7 @@ import time
 import traceback
 from collections import OrderedDict
 from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import replace
 from typing import Any, Callable, Sequence
 
@@ -307,11 +309,12 @@ class RemoteChannel:
     Writers serialise on a lock; a daemon reader thread matches replies
     to pending futures by message id, so any number of threads can have
     calls outstanding on the same socket and replies may arrive in any
-    order.  Byte counters cover every frame in both directions.
+    order.  Byte and frame counters cover both directions.
 
     Futures stay *cancellable* until their reply arrives: cancelling
-    one in-flight RPC abandons only that call (the reader drops its
-    late reply) and leaves sibling RPCs on the socket untouched.
+    one in-flight RPC abandons only that call (its pending entry and
+    in-flight slot free at once, the reader drops its late reply) and
+    leaves sibling RPCs on the socket untouched.
 
     ``max_in_flight`` optionally caps concurrent outstanding RPCs on
     this link; :meth:`submit` blocks until a slot frees.  ``None`` (the
@@ -331,8 +334,8 @@ class RemoteChannel:
         self._slots = (threading.BoundedSemaphore(max_in_flight)
                        if max_in_flight is not None else None)
         self.max_in_flight = max_in_flight
-        self.bytes_sent = 0
-        self.bytes_received = 0
+        self.bytes_sent = self.frames_sent = 0
+        self.bytes_received = self.frames_received = 0
         self._reader = threading.Thread(target=self._read_loop, daemon=True,
                                         name="repro-transport-reader")
         self._reader.start()
@@ -348,34 +351,48 @@ class RemoteChannel:
         future: Future = Future()
         if self._slots is not None:
             self._slots.acquire()
-            future.add_done_callback(lambda _f: self._slots.release())
         msg_id = next(self._ids)
         with self._plock:
-            if self._closed:
-                future.cancel()
-                raise ConnectionError("channel is closed")
-            self._pending[msg_id] = future
+            closed = self._closed
+            if not closed:
+                self._pending[msg_id] = future
+        future.add_done_callback(lambda _f: self._settle(msg_id))
+        if closed:
+            future.cancel()
+            raise ConnectionError("channel is closed")
         try:
             with self._wlock:
                 self.bytes_sent += write_frame(self._sock, KIND_REQUEST,
                                                msg_id, obj)
+                self.frames_sent += 1
         except OSError as exc:
-            with self._plock:
-                self._pending.pop(msg_id, None)
             if not future.done():
                 future.set_exception(
                     ConnectionError(f"channel write failed: {exc}"))
             raise
         return future
 
+    def _settle(self, msg_id: int) -> None:
+        """An RPC completed or was abandoned: free its entry and slot."""
+        with self._plock:
+            self._pending.pop(msg_id, None)
+        if self._slots is not None:
+            self._slots.release()
+
     def call(self, obj: Any, timeout: float | None = None) -> Any:
-        """Blocking RPC round-trip."""
-        return self.submit(obj).result(timeout=timeout)
+        """Blocking RPC round-trip; a timeout abandons the RPC."""
+        future = self.submit(obj)
+        try:
+            return future.result(timeout=timeout)
+        except FutureTimeout:
+            future.cancel()
+            raise
 
     def send_control(self, obj: Any) -> None:
         """Fire-and-forget control frame (e.g. ``"shutdown"``)."""
         with self._wlock:
             self.bytes_sent += write_frame(self._sock, KIND_CONTROL, 0, obj)
+            self.frames_sent += 1
 
     def _read_loop(self) -> None:
         try:
@@ -385,6 +402,7 @@ class RemoteChannel:
                     break
                 kind, msg_id, obj, nbytes = frame
                 self.bytes_received += nbytes
+                self.frames_received += 1
                 with self._plock:
                     future = self._pending.pop(msg_id, None)
                 if future is None or not future.set_running_or_notify_cancel():
@@ -417,29 +435,29 @@ class RemoteChannel:
         self._sock.close()
 
 
-def _run_remote_component(service, component: int, payload: Any,
-                          deadline: float, clock: DeadlineClock | None,
-                          envelope: Any) -> ComponentOutcome:
-    """Service-process side of one remote component task.
+def _run_remote_components(service, specs: list) -> list[ComponentOutcome]:
+    """Service-process side of one shard-copy frame.
 
-    Builds the task against the service's *current* pinned epoch and
-    runs it through the one execution choke point, so the outcome —
-    state epoch, envelope stamping included — is bit-identical to the
-    in-process path over the same snapshots and clocks.
+    One ``(component, payload, deadline, clock, envelope)`` per task:
+    all pin the service's *current* epoch up front (the cut an
+    in-process ``build_tasks`` takes), then run in order through the one
+    execution choke point, so each outcome — state epoch, envelope
+    stamping included — is bit-identical to the in-process path.
     """
-    task = ComponentTask(
+    tasks = [ComponentTask(
         component=component, adapter=service.adapter, request=payload,
         deadline=deadline, state_ref=service.store.ref(component),
         clock=clock, i_max=service._i_max,
         i_max_fraction=service._i_max_fraction, envelope=envelope)
-    return run_component_task(task)
+        for component, payload, deadline, clock, envelope in specs]
+    return [run_component_task(task) for task in tasks]
 
 
 def _dispatch_rpc(service, obj: Any) -> Any:
     """Service-process RPC dispatch table."""
     op, args = obj[0], obj[1:]
-    if op == "component_task":
-        return _run_remote_component(service, *args)
+    if op == "component_tasks":
+        return _run_remote_components(service, *args)
     if op == "serve":
         request, clocks = args
         return service.serve(request, clocks=clocks)
@@ -558,6 +576,29 @@ def _service_worker_main(conn, spec) -> None:
             reader.join(timeout=5.0)
 
 
+class _CopyFuture(Future):
+    """One task's share of a shard-copy RPC, which is one unit:
+    cancelling any share abandons the RPC (its siblings fail with
+    ``CancelledError``) and a blocking :meth:`result` is bounded by the
+    servable's timeout, abandoning the RPC on expiry."""
+
+    def __init__(self, rpc: Future, timeout: float | None):
+        super().__init__()
+        self._rpc, self._timeout = rpc, timeout
+
+    def cancel(self) -> bool:
+        self._rpc.cancel()
+        return super().cancel()
+
+    def result(self, timeout: float | None = None):
+        try:
+            return super().result(
+                self._timeout if timeout is None else timeout)
+        except FutureTimeout:
+            self.cancel()
+            raise
+
+
 class RemoteServable:
     """A servable living in another process, reached over pipelined links.
 
@@ -570,9 +611,9 @@ class RemoteServable:
       RPC and return the remote :class:`~repro.serving.envelope.
       ServingResponse`.
     - :meth:`build_tasks` returns local :class:`~repro.serving.backends.
-      ComponentTask` values whose ``runner`` forwards each component
-      over the socket — the local execution backend still schedules
-      (and hedges) them, while the state stays remote.
+      ComponentTask` values whose submit hook ships the whole shard
+      copy as one frame — the local execution backend still schedules
+      (and hedges) the copy, while the state stays remote.
     - update methods (:meth:`add_points` / :meth:`change_points` /
       :meth:`replace_partition`) forward to the remote service, so the
       router's update fan-out works unchanged.
@@ -677,9 +718,9 @@ class RemoteServable:
 
         Mirrors :meth:`AccuracyTraderService.build_tasks` envelope and
         deadline handling exactly; the returned tasks carry no adapter
-        or state — their ``runner`` ships ``(component, payload,
-        deadline, clock, envelope)`` over the socket and the service
-        process pins its current epoch at execution.
+        or state — their submit hook ships ``(component, payload,
+        deadline, clock, envelope)`` per task over the socket and the
+        service process pins its current epoch at execution.
         """
         from repro.serving.envelope import ServingRequest
 
@@ -703,33 +744,36 @@ class RemoteServable:
             ComponentTask(
                 component=c, adapter=None, request=payload,
                 deadline=deadline, clock=clock, envelope=envelope,
-                runner=self._run_task)
+                submit=self._submit_copy)
             for c, clock in enumerate(clocks)
         ]
 
-    def _run_task(self, task: ComponentTask) -> ComponentOutcome:
-        ctx = trace_context_of(task.envelope)
+    def _submit_copy(self, tasks: Sequence[ComponentTask]) -> list[Future]:
+        """Ship one shard copy as one pipelined frame; never waits.
+
+        The payload and envelope the tasks share pickle once (memo);
+        the ``wire.rpc`` span is recorded as the reply lands.
+        """
         channel = self._pick_channel()
-        if ctx is None or not ctx.sampled:
-            return channel.call(
-                ("component_task", task.component, task.request,
-                 task.deadline, task.clock, task.envelope),
-                timeout=self._timeout)
-        sent0 = channel.bytes_sent
-        received0 = channel.bytes_received
-        # Depth *before* this RPC joins the link: 0 means it had the
-        # socket to itself, >0 means it pipelined behind siblings.
-        depth = channel.in_flight
-        t0 = monotonic()
-        outcome = channel.call(
-            ("component_task", task.component, task.request, task.deadline,
-             task.clock, task.envelope), timeout=self._timeout)
-        get_tracer().record(
-            "wire.rpc", ctx, t0, monotonic(), component=task.component,
-            in_flight=depth,
-            bytes_sent=channel.bytes_sent - sent0,
-            bytes_received=channel.bytes_received - received0)
-        return outcome
+        ctx = trace_context_of(tasks[0].envelope)
+        traced = ctx is not None and ctx.sampled
+        if traced:
+            sent0, received0 = channel.bytes_sent, channel.bytes_received
+            # Depth *before* this RPC joins the link: 0 means it had the
+            # socket to itself, >0 means it pipelined behind siblings.
+            depth, t0 = channel.in_flight, monotonic()
+            components = [t.component for t in tasks]
+        rpc = channel.submit(("component_tasks", [
+            (t.component, t.request, t.deadline, t.clock, t.envelope)
+            for t in tasks]))
+        if traced:
+            rpc.add_done_callback(lambda _f: get_tracer().record(
+                "wire.rpc", ctx, t0, monotonic(),
+                components=components, in_flight=depth,
+                bytes_sent=channel.bytes_sent - sent0,
+                bytes_received=channel.bytes_received - received0))
+        return _scatter_batch_future(
+            rpc, len(tasks), lambda: _CopyFuture(rpc, self._timeout))
 
     def serve(self, request, clocks: list[DeadlineClock] | None = None,
               backend=None):
@@ -784,10 +828,10 @@ class RemoteServable:
     # -- lifecycle -------------------------------------------------------
 
     def transport_counters(self) -> dict:
-        """Bytes moved over this servable's links, both directions."""
-        return {"bytes_sent": sum(c.bytes_sent for c in self._channels),
-                "bytes_received": sum(c.bytes_received
-                                      for c in self._channels)}
+        """Bytes and frames moved over this servable's links."""
+        return {key: sum(getattr(c, key) for c in self._channels)
+                for key in ("bytes_sent", "bytes_received",
+                            "frames_sent", "frames_received")}
 
     def close(self) -> None:
         """Shut down the remote process and every link (idempotent)."""
@@ -1071,9 +1115,7 @@ class RemoteBackend(ExecutionBackend):
 
     Tasks must carry a live (pinned) ref or inline state; a detached
     ref cannot be materialised parent-side and is rejected with
-    :class:`~repro.core.state.StaleEpochError`.  Tasks carrying a
-    ``runner`` are executed inline (runners are process-local
-    callables that do their own remoting).
+    :class:`~repro.core.state.StaleEpochError`.
 
     :meth:`payload_counters` keeps the standard four keys —
     ``state_bytes`` / ``state_publishes`` cover full and delta frames
@@ -1275,13 +1317,48 @@ class RemoteBackend(ExecutionBackend):
 
     # -- ExecutionBackend ------------------------------------------------
 
-    def run_tasks(self, tasks: Sequence[ComponentTask]) -> list[ComponentOutcome]:
-        return [f.result() for f in [self.submit_task(t) for t in tasks]]
+    def _ship(self, kind: int, wire, tasks: list, ref) -> Future:
+        """Send ``wire`` — a task, or a list of tasks sharing ``ref`` — as
+        one ``kind`` frame on the least-loaded link, preceded by the state
+        frames ``ref`` needs there (``None``: state travels inline)."""
+        link = self._next_link(self._ensure_links())
+        ctx = next((c for c in (trace_context_of(t.envelope)
+                                for t in tasks)
+                    if c is not None and c.sampled), None)
+        t_send = monotonic() if ctx is not None else 0.0
+        depth = link.in_flight
+        payload = pickle.dumps(wire, PICKLE_PROTOCOL)
+        self._task_bytes.inc(len(payload))
+        self._tasks_shipped.inc(len(tasks))
+        future: Future = Future()
+        future.set_running_or_notify_cancel()  # tied-request semantics
+        msg_id = next(link.ids)
+        with link.plock:
+            link.pending[msg_id] = future
+        try:
+            with link.wlock:
+                state_frames = [] if ref is None else \
+                    self._state_frames_locked(link, ref, tasks[0].adapter)
+                for frame in state_frames:
+                    link.sock.sendall(frame)
+                    link.bytes_sent += len(frame)
+                link.bytes_sent += write_frame(link.sock, kind, msg_id,
+                                               payload=payload)
+        except OSError as exc:
+            with link.plock:
+                link.pending.pop(msg_id, None)
+            future.set_exception(ConnectionError(
+                f"backend worker connection failed: {exc}"))
+            return future
+        if ctx is not None:
+            get_tracer().record(
+                "wire.send", ctx, t_send, monotonic(),
+                component=tasks[0].component, task_bytes=len(payload),
+                in_flight=depth, batch_size=len(tasks),
+                state_bytes=sum(len(f) for f in state_frames))
+        return future
 
-    def submit_task(self, task: ComponentTask) -> "Future[ComponentOutcome]":
-        if task.runner is not None:
-            # Runners are process-local; run inline (base-class path).
-            return super().submit_task(task)
+    def _submit_plain(self, task: ComponentTask) -> "Future[ComponentOutcome]":
         ref = task.state_ref
         live = ref is not None and (ref.store is not None
                                     or ref.pinned is not None)
@@ -1290,53 +1367,15 @@ class RemoteBackend(ExecutionBackend):
             raise StaleEpochError(
                 f"detached ref {ref.key} cannot be materialised for the "
                 "wire; submit the task with its live (pinned) ref instead")
-        links = self._ensure_links()
-        link = self._next_link(links)
-        if live:
-            wire_task = replace(task, state_ref=ref.detached())
-            state_frames = None
-        else:
-            wire_task = task  # inline state ships whole
-            state_frames = []
-        ctx = trace_context_of(task.envelope)
-        t_send = monotonic() if ctx is not None and ctx.sampled else 0.0
-        depth = link.in_flight
-        task_payload = pickle.dumps(wire_task, PICKLE_PROTOCOL)
-        self._task_bytes.inc(len(task_payload))
-        self._tasks_shipped.inc()
-        future: Future = Future()
-        future.set_running_or_notify_cancel()  # tied-request semantics
-        msg_id = next(link.ids)
-        with link.plock:
-            link.pending[msg_id] = future
-        try:
-            with link.wlock:
-                if state_frames is None:
-                    state_frames = self._state_frames_locked(
-                        link, ref, task.adapter)
-                for frame in state_frames:
-                    link.sock.sendall(frame)
-                    link.bytes_sent += len(frame)
-                link.bytes_sent += write_frame(link.sock, KIND_TASK, msg_id,
-                                               payload=task_payload)
-        except OSError as exc:
-            with link.plock:
-                link.pending.pop(msg_id, None)
-            future.set_exception(ConnectionError(
-                f"backend worker connection failed: {exc}"))
-            return future
-        if ctx is not None and ctx.sampled:
-            get_tracer().record(
-                "wire.send", ctx, t_send, monotonic(),
-                component=task.component, task_bytes=len(task_payload),
-                in_flight=depth, batch_size=1,
-                state_bytes=sum(len(f) for f in state_frames))
-        return future
+        if not live:
+            return self._ship(KIND_TASK, task, [task], None)
+        return self._ship(KIND_TASK, replace(task, state_ref=ref.detached()),
+                          [task], ref)
 
     def submit_batch(self, tasks: Sequence[ComponentTask]) -> list[Future]:
         """Ship a coalesced batch as **one** ``KIND_BATCH`` frame.
 
-        All tasks must be runner-less and share one live ref key (the
+        All tasks must share one live ref key (the
         invariant :class:`~repro.serving.backends.BatchingBackend`
         guarantees per bucket); anything else degrades to per-task
         submission, so a batch is never worse than unbatched dispatch.
@@ -1345,58 +1384,19 @@ class RemoteBackend(ExecutionBackend):
         one pickle, one frame, one vectorized stage-1 pass.
         """
         tasks = list(tasks)
-        if len(tasks) <= 1:
-            return [self.submit_task(t) for t in tasks]
         refs = [t.state_ref for t in tasks]
-        batchable = (
-            all(t.runner is None for t in tasks)
-            and all(r is not None and (r.store is not None
-                                       or r.pinned is not None)
-                    for r in refs)
+        batchable = len(tasks) > 1 and (
+            all(r is not None and (r.store is not None
+                                   or r.pinned is not None) for r in refs)
             and len({r.key for r in refs}) == 1)
         if not batchable:
-            return [self.submit_task(t) for t in tasks]
-        ref = refs[0]
-        links = self._ensure_links()
-        link = self._next_link(links)
-        ctx = next((c for c in (trace_context_of(t.envelope)
-                                for t in tasks)
-                    if c is not None and c.sampled), None)
-        t_send = monotonic() if ctx is not None else 0.0
-        depth = link.in_flight
-        payload = pickle.dumps(
-            [replace(t, state_ref=t.state_ref.detached()) for t in tasks],
-            PICKLE_PROTOCOL)
-        self._task_bytes.inc(len(payload))
-        self._tasks_shipped.inc(len(tasks))
+            return self.submit_tasks(tasks)
         self._batches_shipped.inc()
-        batch_future: Future = Future()
-        batch_future.set_running_or_notify_cancel()
-        msg_id = next(link.ids)
-        with link.plock:
-            link.pending[msg_id] = batch_future
-        try:
-            with link.wlock:
-                state_frames = self._state_frames_locked(
-                    link, ref, tasks[0].adapter)
-                for frame in state_frames:
-                    link.sock.sendall(frame)
-                    link.bytes_sent += len(frame)
-                link.bytes_sent += write_frame(link.sock, KIND_BATCH,
-                                               msg_id, payload=payload)
-        except OSError as exc:
-            with link.plock:
-                link.pending.pop(msg_id, None)
-            batch_future.set_exception(ConnectionError(
-                f"backend worker connection failed: {exc}"))
-            return _scatter_batch_future(batch_future, len(tasks))
-        if ctx is not None:
-            get_tracer().record(
-                "wire.send", ctx, t_send, monotonic(),
-                component=tasks[0].component, task_bytes=len(payload),
-                in_flight=depth, batch_size=len(tasks),
-                state_bytes=sum(len(f) for f in state_frames))
-        return _scatter_batch_future(batch_future, len(tasks))
+        batch = self._ship(
+            KIND_BATCH,
+            [replace(t, state_ref=t.state_ref.detached()) for t in tasks],
+            tasks, refs[0])
+        return _scatter_batch_future(batch, len(tasks))
 
     def payload_counters(self) -> dict:
         return {

@@ -566,19 +566,26 @@ class TestRemoteBackend:
         with pytest.raises(StaleEpochError):
             remote_backend.submit_task(detached)
 
-    def test_runner_tasks_run_inline(self, remote_backend):
-        ran = []
-
-        def runner(task):
-            ran.append(task.component)
-            return "local"
+    def test_hook_tasks_go_to_their_owner(self, remote_backend):
+        """A submit hook gets its tasks as one call, from any backend."""
+        from concurrent.futures import Future
 
         from repro.serving.backends import ComponentTask
 
-        task = ComponentTask(component=3, adapter=None, request=None,
-                             deadline=1.0, runner=runner)
-        assert remote_backend.submit_task(task).result() == "local"
-        assert ran == [3]
+        calls = []
+
+        def hook(tasks):
+            calls.append([t.component for t in tasks])
+            futures = [Future() for _ in tasks]
+            for f, t in zip(futures, tasks):
+                f.set_result(f"owner-{t.component}")
+            return futures
+
+        tasks = [ComponentTask(component=c, adapter=None, request=None,
+                               deadline=1.0, submit=hook) for c in (3, 4)]
+        assert remote_backend.submit_task(tasks[0]).result() == "owner-3"
+        assert remote_backend.run_tasks(tasks) == ["owner-3", "owner-4"]
+        assert calls == [[3], [3, 4]]
 
     def test_resolve_backend_knows_remote(self):
         from repro.serving.backends import resolve_backend
