@@ -1,12 +1,17 @@
-"""Setup shim for environments without the ``wheel`` package.
+"""Packaging for the ``repro`` library under ``src/``.
 
-``pip install -e .`` on this machine has no network and no ``wheel``
-distribution, so the PEP 660 editable path fails; this shim lets the
-legacy ``setup.py develop`` editable path work instead
-(``pip install -e . --no-build-isolation``).  All project metadata lives
-in ``pyproject.toml``.
+numpy is the only runtime dependency (the tests also use pytest and
+hypothesis).  Where the ``wheel`` package is missing the PEP 660
+editable install fails; ``pip install -e . --no-build-isolation`` then
+takes the legacy ``setup.py develop`` path instead.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    install_requires=["numpy"],
+)

@@ -21,8 +21,7 @@ Quickstart::
     processor = AccuracyAwareProcessor(adapter, data.matrix, synopsis)
     # result, report = processor.process(request, deadline=0.1)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for
-paper-vs-measured results.
+The root README's "Architecture map" is the system inventory.
 """
 
 __version__ = "1.0.0"

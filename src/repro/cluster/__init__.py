@@ -1,12 +1,12 @@
 """Discrete-event cluster substrate for tail-latency experiments.
 
 The paper measured a 110-VM Xen/JStorm deployment; we reproduce the same
-queueing mechanics in simulation (see DESIGN.md for the substitution
-argument): an online service fans each request out to ``n`` parallel
-components, each a FIFO single-server queue whose speed varies over time
-with co-located MapReduce interference.  Latency is therefore queueing
-delay + work / current-speed — exactly the two ingredients the paper
-identifies as the source of component tail latency.
+queueing mechanics in simulation: an online service fans each request
+out to ``n`` parallel components, each a FIFO single-server queue whose
+speed varies over time with co-located MapReduce interference.  Latency
+is therefore queueing delay + work / current-speed — exactly the two
+ingredients the paper identifies as the source of component tail
+latency.
 
 Two simulators are provided:
 

@@ -10,7 +10,7 @@ timeline is an independent recurrence::
 
 which this simulator evaluates exactly, component by component, without an
 event queue.  The component's speed is sampled at service start (a
-sub-operation is short relative to interference epochs; DESIGN.md §5).
+sub-operation is short relative to interference epochs).
 
 Latency definitions follow the paper: a sub-operation's latency counts
 from request *submission* (queueing delay included); the request's service

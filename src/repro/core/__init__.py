@@ -30,7 +30,6 @@ from repro.core.updater import SynopsisUpdater, UpdateReport
 from repro.core.processor import AccuracyAwareProcessor, ProcessingReport
 from repro.core.clock import DeadlineClock, SimulatedClock, WallClock
 from repro.core.adapters import CFAdapter, CFRequest, SearchAdapter, SearchQuery
-from repro.core.multires import MultiResolutionSynopsis, build_multires
 from repro.core.servable import Servable, default_merge, unwrap_adapter
 from repro.core.state import (
     ComponentState,
@@ -57,8 +56,6 @@ __all__ = [
     "CFRequest",
     "SearchAdapter",
     "SearchQuery",
-    "MultiResolutionSynopsis",
-    "build_multires",
     "AccuracyTraderService",
     "ComponentState",
     "StateEpoch",

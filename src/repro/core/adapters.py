@@ -6,7 +6,8 @@ The builder, updater and online processor are all generic over a
 - how to turn a partition into SVD triples (creation step 1);
 - how to aggregate a group of original points (creation step 3);
 - how to produce an initial result + correlations from a synopsis, and how
-  to refine it with one group of original points (Algorithm 1);
+  to refine it with one group (or a run of groups) of original points
+  (Algorithm 1);
 - how much *work* (abstract units, 1 unit = one original data point
   scanned) each of those operations costs — the quantity the simulated
   clock converts into latency.
@@ -23,16 +24,17 @@ from __future__ import annotations
 import abc
 import threading
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
 
 from repro.recommender.aggregation import aggregate_group
-from repro.recommender.cf import CFComponent, CFPrediction, GroupedRatings
+from repro.recommender.cf import (CFComponent, CFPrediction, GroupedRatings,
+                                  SynopsisRatings)
 from repro.recommender.matrix import RatingMatrix
-from repro.search.engine import (SearchComponent, SearchHit, hits_best_first,
-                                 merge_topk)
+from repro.search.engine import SearchComponent, SearchHit, hits_best_first
 from repro.search.partition import SearchPartition
 from repro.search.scoring import GroupedPostings
 
@@ -179,6 +181,19 @@ class ServiceAdapter(abc.ABC):
     def refine(self, partition, synopsis, group_id: int, request, state) -> Any:
         """Improve the result state with group ``group_id``'s originals."""
 
+    def refine_many(self, partition, synopsis, group_ids, request,
+                    state) -> Any:
+        """:meth:`refine` with each of ``group_ids``, in order.
+
+        Adapters override this when they can refine a run of ranked
+        groups in one vectorised call; the state must end exactly as the
+        fold of :meth:`refine` would leave it.  The processor refines
+        one group per call for adapters that keep this default.
+        """
+        for g in group_ids:
+            state = self.refine(partition, synopsis, g, request, state)
+        return state
+
     @abc.abstractmethod
     def finalize(self, state, request) -> Any:
         """Turn internal result state into the component's answer."""
@@ -207,15 +222,17 @@ class _MemoisingAdapter(ServiceAdapter):
 
     ``_components`` holds the service component built over a partition,
     ``_layouts`` the group-segmented layout of a ``(partition, index
-    file)`` pair.  Both are keyed by object identity, so they follow
-    every epoch the state plane publishes.  Neither is pickled: ids do
-    not survive a process boundary and the contents are whole matrices,
-    so every worker process builds its own.
+    file)`` pair, ``_stage1`` the stage-1 index of a synopsis payload
+    (CF).  All are keyed by object identity, so they follow every epoch
+    the state plane publishes.  None is pickled: ids do not survive a
+    process boundary and the contents are whole matrices, so every
+    worker process builds its own.
     """
 
     def __init__(self) -> None:
         self._components = _ComponentMemo()
         self._layouts = _ComponentMemo()
+        self._stage1 = _ComponentMemo()
 
     def __getstate__(self):
         return {}
@@ -255,18 +272,24 @@ class CFRequest:
         self.active_mean = float(self.active_vals.mean()) if self.active_vals.size else 0.0
 
 
+def _unique_targets(request: CFRequest) -> np.ndarray:
+    """The request's sorted unique target items: a CF state's columns."""
+    return np.unique(np.asarray(request.target_items, dtype=np.int64))
+
+
 @dataclass
 class CFStage1State:
     """Vectorized Algorithm 1 state for one CF request on one component.
 
-    The per-group synopsis contributions live in dense ``(m, T)`` arrays
-    (groups x unique target items) instead of one ``CFPrediction`` dict
-    per group; refined groups are recorded as sparse ``overrides`` whose
-    exact partial sums replace their synopsis row at :meth:`merge` time.
-    Bit-identical to the dict-of-predictions representation (which the
-    scalar oracle still produces): scatter fills the same single-product
-    cells, and the merge accumulates each item's column with ``bincount``
-    in the same ascending group order ``finalize``'s absorb loop used.
+    The per-group contributions live in dense ``(m, T)`` arrays (groups
+    x unique target items) instead of one ``CFPrediction`` dict per
+    group: stage 1 fills each group's row with its synopsis
+    contribution, and refining a group overwrites the row with its
+    members' exact partial sums.  Bit-identical to the
+    dict-of-predictions representation (which the scalar oracle still
+    produces): every cell holds the same float, and :meth:`merge`
+    accumulates each item's column with ``bincount`` in the same
+    ascending group order ``finalize``'s absorb loop used.
 
     Supports enough of the mapping protocol (iteration over group ids,
     ``state[g]`` materialising that group's ``CFPrediction``) to stay
@@ -275,10 +298,9 @@ class CFStage1State:
 
     active_mean: float
     targets: np.ndarray   # sorted unique target items, shape (T,)
-    numer: np.ndarray     # (m, T) synopsis partial numerators
-    denom: np.ndarray     # (m, T) synopsis partial denominators
+    numer: np.ndarray     # (m, T) partial numerators
+    denom: np.ndarray     # (m, T) partial denominators
     present: np.ndarray   # (m, T) bool: group contributed to the item
-    overrides: dict[int, CFPrediction] = field(default_factory=dict)
     plan: _RefinePlan | None = None   # made by the run's first refine
 
     @staticmethod
@@ -297,51 +319,26 @@ class CFStage1State:
         return iter(range(self.numer.shape[0]))
 
     def __getitem__(self, group_id: int) -> CFPrediction:
-        pred = self.overrides.get(group_id)
-        if pred is not None:
-            return pred
-        pred = CFPrediction(active_mean=self.active_mean)
-        for t in np.flatnonzero(self.present[group_id]).tolist():
-            item = int(self.targets[t])
-            pred.numer[item] = float(self.numer[group_id, t])
-            pred.denom[item] = float(self.denom[group_id, t])
-        return pred
+        return CFPrediction.from_sums(
+            self.active_mean, self.targets, self.numer[group_id],
+            self.denom[group_id], self.present[group_id])
 
     def merge(self) -> CFPrediction:
-        """All groups' contributions merged, refined rows overriding.
+        """All groups' contributions merged.
 
         Each item's column is accumulated with ``bincount`` over
         group-major keys — strictly ascending group order, exactly the
         order the sequential absorb loop adds contributions in, so the
         sums are bit-identical.
         """
-        merged = CFPrediction(active_mean=self.active_mean)
         m, t = self.numer.shape
         if m == 0 or t == 0:
-            return merged
-        numer, denom, present = self.numer, self.denom, self.present
-        if self.overrides:
-            numer, denom = numer.copy(), denom.copy()
-            present = present.copy()
-            slot = {int(item): k for k, item in
-                    enumerate(self.targets.tolist())}
-            for g, pred in self.overrides.items():
-                numer[g] = 0.0
-                denom[g] = 0.0
-                present[g] = False
-                for item, nv in pred.numer.items():
-                    k = slot[item]
-                    numer[g, k] = nv
-                    denom[g, k] = pred.denom[item]
-                    present[g, k] = True
+            return CFPrediction(active_mean=self.active_mean)
         keys = np.tile(np.arange(t), m)
-        tot_n = np.bincount(keys, weights=numer.ravel(), minlength=t)
-        tot_d = np.bincount(keys, weights=denom.ravel(), minlength=t)
-        for k in np.flatnonzero(present.any(axis=0)).tolist():
-            item = int(self.targets[k])
-            merged.numer[item] = float(tot_n[k])
-            merged.denom[item] = float(tot_d[k])
-        return merged
+        tot_n = np.bincount(keys, weights=self.numer.ravel(), minlength=t)
+        tot_d = np.bincount(keys, weights=self.denom.ravel(), minlength=t)
+        return CFPrediction.from_sums(self.active_mean, self.targets,
+                                      tot_n, tot_d, self.present.any(axis=0))
 
 
 class CFAdapter(_MemoisingAdapter):
@@ -429,56 +426,42 @@ class CFAdapter(_MemoisingAdapter):
     # -- online ----------------------------------------------------------
 
     def initial_result(self, synopsis, request: CFRequest):
-        payload: CFComponent = synopsis.payload
-        weights = payload.weights_for(request.active_items, request.active_vals,
-                                      np.arange(payload.n_users))
-        return self._stage1_state(payload, weights, request), np.abs(weights)
+        return self.initial_result_batch(synopsis, [request])[0]
 
     def initial_result_batch(self, synopsis, requests):
-        """Vectorized stage 1 for a whole batch: one Pearson sweep of the
-        aggregated matrix answers every request (bit-identical to
-        per-request :meth:`initial_result`)."""
-        from repro.recommender import similarity
-
+        """Vectorized stage 1 for a whole batch: one Pearson gather over
+        the synopsis payload's stage-1 index per request, and a read of
+        the target columns only (bit-identical to the scalar oracle
+        :meth:`initial_result_scalar`)."""
         payload: CFComponent = synopsis.payload
-        weights = similarity.pearson_weights_batch(
-            payload.matrix,
+        index: SynopsisRatings = self._stage1.get(
+            (payload,), lambda: SynopsisRatings(payload))
+        weights = index.weights(
             [(r.active_items, r.active_vals) for r in requests])
-        return [(self._stage1_state(payload, weights[k], request),
+        return [(self._stage1_state(index, weights[k], request),
                  np.abs(weights[k]))
                 for k, request in enumerate(requests)]
 
     @staticmethod
-    def _stage1_state(payload: CFComponent, weights: np.ndarray,
+    def _stage1_state(index: SynopsisRatings, weights: np.ndarray,
                       request: CFRequest) -> CFStage1State:
         """Per-group synopsis contributions on the target items.
 
         Each aggregated user rates an item at most once, so every
-        (group, target) cell is a single product — one gather over the
-        aggregated matrix scatters all groups' partial sums straight
-        into the dense :class:`CFStage1State` arrays.
+        (group, target) cell is a single product — one gather of the
+        target columns scatters all groups' partial sums straight into
+        the dense :class:`CFStage1State` arrays.
         """
-        matrix = payload.matrix
-        m = payload.n_users
-        targets = (np.unique(np.asarray(request.target_items, dtype=np.int64))
-                   if request.target_items else np.empty(0, dtype=np.int64))
-        state = CFStage1State.zeros(request.active_mean, targets, m)
-        if targets.size == 0 or matrix.nnz == 0:
-            return state
-        items = matrix.item_ids
-        pos = np.searchsorted(targets, items)
-        hit = targets[np.minimum(pos, targets.size - 1)] == items
-        if not np.any(hit):
-            return state
-        gh = np.repeat(np.arange(m), np.diff(matrix.indptr))[hit]
-        keep = weights[gh] != 0.0
-        gh = gh[keep]
-        wh = weights[gh]
-        th = pos[hit][keep]
-        state.numer[gh, th] = wh * (matrix.values[hit][keep]
-                                    - payload.user_means[gh])
-        state.denom[gh, th] = np.abs(wh)
-        state.present[gh, th] = True
+        targets = _unique_targets(request)
+        state = CFStage1State.zeros(request.active_mean, targets,
+                                    index.matrix.n_users)
+        users, slots, dev = index.target_entries(targets)
+        w = weights[users]
+        keep = w != 0.0
+        users, slots, w = users[keep], slots[keep], w[keep]
+        state.numer[users, slots] = w * dev[keep]
+        state.denom[users, slots] = np.abs(w)
+        state.present[users, slots] = True
         return state
 
     def initial_result_scalar(self, synopsis, request: CFRequest):
@@ -505,6 +488,15 @@ class CFAdapter(_MemoisingAdapter):
 
     def refine(self, partition: RatingMatrix, synopsis, group_id: int,
                request: CFRequest, state):
+        # This class's own refine_many, so a subclass scheduling one
+        # group per call (the base-class fold) still refines through it.
+        return CFAdapter.refine_many(self, partition, synopsis,
+                                     [group_id], request, state)
+
+    def refine_many(self, partition: RatingMatrix, synopsis, group_ids,
+                    request: CFRequest, state):
+        """Refine a run of groups with one :meth:`GroupedRatings.partial_sums`
+        pass, written straight into the groups' state rows."""
         # The scalar oracle's dict-of-predictions state has nowhere to
         # carry a plan: it gets a fresh one per call.
         staged = isinstance(state, CFStage1State)
@@ -514,20 +506,41 @@ class CFAdapter(_MemoisingAdapter):
             if staged:
                 state.plan = plan
         if plan.query is None:
-            # Duplicate or too few active items: the inputs the
-            # vectorised Pearson itself defers.
-            pred = self._component(partition).partial_prediction(
+            targets = _unique_targets(request)
+            sums = self._deferred_sums(partition, synopsis, group_ids,
+                                       request, targets)
+        else:
+            targets = plan.query[3]
+            sums = plan.layout.partial_sums(plan.query, group_ids)
+        if staged:
+            state.numer[group_ids], state.denom[group_ids], \
+                state.present[group_ids] = sums
+        else:
+            for numer, denom, touched, g in zip(*sums, group_ids):
+                state[g] = CFPrediction.from_sums(
+                    request.active_mean, targets, numer, denom, touched)
+        return state
+
+    def _deferred_sums(self, partition: RatingMatrix, synopsis, group_ids,
+                       request: CFRequest, targets: np.ndarray):
+        """:meth:`GroupedRatings.partial_sums` for the requests its plan
+        defers (duplicate or too few active items, as the vectorised
+        Pearson does), one group at a time through the component."""
+        shape = (len(group_ids), targets.size)
+        numer, denom = np.zeros(shape), np.zeros(shape)
+        touched = np.zeros(shape, dtype=bool)
+        component = self._component(partition)
+        for k, g in enumerate(group_ids):
+            pred = component.partial_prediction(
                 request.active_items, request.active_vals,
                 request.target_items, request.active_mean,
-                user_ids=synopsis.index.members_view(group_id))
-        else:
-            pred = plan.layout.partial_prediction(plan.query, group_id,
-                                                  request.active_mean)
-        if staged:
-            state.overrides[group_id] = pred
-        else:
-            state[group_id] = pred
-        return state
+                user_ids=synopsis.index.members_view(g))
+            slots = np.searchsorted(targets, np.fromiter(
+                pred.numer, dtype=np.int64, count=len(pred.numer)))
+            numer[k, slots] = list(pred.numer.values())
+            denom[k, slots] = [pred.denom[item] for item in pred.numer]
+            touched[k, slots] = True
+        return numer, denom, touched
 
     def finalize(self, state, request: CFRequest) -> CFPrediction:
         if isinstance(state, CFStage1State):
@@ -572,6 +585,66 @@ class SearchQuery:
         self.terms = [str(t) for t in self.terms]
         if self.k < 1:
             raise ValueError("k must be >= 1")
+
+
+class RefinedHits(Mapping):
+    """The exact ``(doc, score)`` results of a search run's refined groups.
+
+    Kept as arrays, one block per refine call, so refining a run of
+    groups makes no per-hit objects; :meth:`top` builds only the ``k``
+    hits ``finalize`` returns, with one ``lexsort``.  Groups partition
+    the docs, so no doc appears twice — except that refining a group
+    again (against another snapshot) replaces its earlier hits, as the
+    group -> hits dict this stands in for did.  Read as that dict: a
+    mapping from refined group id to its hits, best first, materialised
+    on access.
+    """
+
+    def __init__(self) -> None:
+        self._blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._groups: dict[int, None] = {}   # refined group ids, in order
+
+    def add(self, group_ids, doc_ids: np.ndarray, scores: np.ndarray,
+            hit_groups: np.ndarray) -> None:
+        """Record the refined ``group_ids``' hits; ``hit_groups[i]`` is
+        the group of ``doc_ids[i]``."""
+        again = [g for g in group_ids if g in self._groups]
+        if again:
+            stale = np.asarray(again, dtype=np.int64)
+            self._blocks = [
+                (d[keep], s[keep], h[keep]) for d, s, h in self._blocks
+                for keep in (~np.isin(h, stale),)]
+        self._groups.update(dict.fromkeys(group_ids))
+        self._blocks.append((doc_ids, scores, hit_groups))
+
+    def __len__(self) -> int:
+        return len(self._groups)
+
+    def __iter__(self):
+        return iter(self._groups)
+
+    def __contains__(self, group_id) -> bool:
+        return group_id in self._groups
+
+    def _arrays(self):
+        if len(self._blocks) == 1:
+            return self._blocks[0]
+        if not self._blocks:
+            return (np.empty(0, dtype=np.int64), np.empty(0),
+                    np.empty(0, dtype=np.int64))
+        return tuple(np.concatenate(column) for column in zip(*self._blocks))
+
+    def __getitem__(self, group_id: int) -> list[SearchHit]:
+        if group_id not in self._groups:
+            raise KeyError(group_id)
+        doc_ids, scores, groups = self._arrays()
+        mine = groups == group_id
+        return hits_best_first(doc_ids[mine], scores[mine])
+
+    def top(self, k: int) -> list[SearchHit]:
+        """The best ``k`` refined hits, best first."""
+        doc_ids, scores, _ = self._arrays()
+        return hits_best_first(doc_ids, scores, k)
 
 
 class SearchAdapter(_MemoisingAdapter):
@@ -667,19 +740,34 @@ class SearchAdapter(_MemoisingAdapter):
             correlations[g] = score
             estimates[g] = (synopsis.index.members_view(g), score)
         # "plan": the _RefinePlan the run's first refine makes.
-        state = {"refined": {}, "estimated": estimates, "plan": None}
+        state = {"refined": RefinedHits(), "estimated": estimates,
+                 "plan": None}
         return state, correlations
 
     def refine(self, partition: SearchPartition, synopsis, group_id: int,
                request: SearchQuery, state):
+        # This class's own refine_many, so a subclass scheduling one
+        # group per call (the base-class fold) still refines through it.
+        return SearchAdapter.refine_many(self, partition, synopsis,
+                                         [group_id], request, state)
+
+    def refine_many(self, partition: SearchPartition, synopsis, group_ids,
+                    request: SearchQuery, state):
+        """Refine a run of groups with one
+        :meth:`GroupedPostings.score_groups` call."""
         plan = state.get("plan")
         if plan is None or not plan.serves(partition, synopsis):
             plan = state["plan"] = self._refine_plan(partition, synopsis,
                                                      request)
-        # Exact per-page scores supersede the group's estimate entirely.
-        state["refined"][group_id] = hits_best_first(
-            *plan.layout.score_group(plan.query, group_id))
-        state["estimated"].pop(group_id, None)
+        # A doc's bin sums every span it is gathered from: a group
+        # named twice must be scored once, as refining it twice is.
+        group_ids = list(dict.fromkeys(group_ids))
+        # Exact per-page scores supersede each group's estimate entirely.
+        state["refined"].add(group_ids, *plan.layout.score_groups(
+            plan.query, group_ids))
+        estimated = state["estimated"]
+        for g in group_ids:
+            estimated.pop(g, None)
         return state
 
     def finalize(self, state, request: SearchQuery) -> list[SearchHit]:
@@ -692,7 +780,7 @@ class SearchAdapter(_MemoisingAdapter):
         tail when fewer than k refined hits exist — exactly the "initial
         result, then improve" semantics of Algorithm 1.
         """
-        refined = merge_topk(state["refined"].values(), request.k)
+        refined = state["refined"].top(request.k)
         if len(refined) >= request.k:
             return refined
         need = request.k - len(refined)

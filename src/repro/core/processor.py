@@ -8,6 +8,12 @@ Two stages on each component, per request:
    result with each group's *original* data points while
    ``elapsed < deadline`` and fewer than ``i_max`` groups were processed.
 
+Stage 2 hands the adapter runs ("chunks") of ranked groups, checking the
+stop rule before each: exactly the run the per-group rule would refine
+under a simulated clock, what half the remaining budget buys at the
+measured cost under a wall clock, one group otherwise (see
+:func:`_chunk_end`).
+
 The processor is generic over the service adapter and the deadline clock,
 so the identical control flow serves the runnable examples (wall clock)
 and the tail-latency experiments (simulated clock).
@@ -15,17 +21,19 @@ and the tail-latency experiments (simulated clock).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.core.adapters import ServiceAdapter
-from repro.core.clock import DeadlineClock, WallClock
+from repro.core.clock import DeadlineClock, SimulatedClock, WallClock
 from repro.core.synopsis import Synopsis
 
 __all__ = ["ProcessingReport", "AccuracyAwareProcessor", "refine_to_depth",
-           "process_component", "process_component_batch", "effective_i_max"]
+           "process_component", "process_component_batch", "effective_i_max",
+           "wall_chunk_end", "RefineCost", "REFINE_COST"]
 
 
 def effective_i_max(n_groups: int, i_max: int | None,
@@ -47,6 +55,90 @@ def effective_i_max(n_groups: int, i_max: int | None,
             raise ValueError("i_max_fraction must be within [0, 1]")
         return min(n_groups, int(np.ceil(i_max_fraction * n_groups)))
     return n_groups
+
+
+def wall_chunk_end(works, start: int, stop: int, remaining: float,
+                   seconds_per_unit: float | None) -> int:
+    """End (exclusive) of the next chunk of ranked groups under a wall clock.
+
+    The chunk starts at ``start`` and takes groups while their summed
+    ``works``, at ``seconds_per_unit``, fit in half the ``remaining``
+    budget (seconds): a right estimate leaves the other half for the
+    next check of the deadline, and one up to 2x too low still ends the
+    chunk inside the budget.  It is never shorter than one group and
+    never runs past ``stop`` (the cap or the last group); with no
+    estimate yet it is one group.
+    """
+    end = start + 1
+    if seconds_per_unit is None:
+        return end
+    budget = 0.5 * remaining / seconds_per_unit
+    spent = works[start]
+    while end < stop and spent + works[end] <= budget:
+        spent += works[end]
+        end += 1
+    return end
+
+
+_COST_WEIGHT = 0.25   # weight of the newest sample in the moving average
+
+
+class RefineCost:
+    """Wall seconds one work unit of ``refine_many`` costs, per adapter
+    class: a moving average (EWMA) of every measured call.
+
+    One per process (:data:`REFINE_COST`), like the kernel slot: every
+    task ships its own pickled adapter, so the estimate cannot live on
+    an adapter instance.  Updates are lock-guarded read-modify-writes.
+    """
+
+    def __init__(self) -> None:
+        self._rates: dict[type, float] = {}
+        self._lock = threading.Lock()
+
+    def rate(self, adapter_cls: type) -> float | None:
+        return self._rates.get(adapter_cls)
+
+    def observe(self, adapter_cls: type, seconds: float,
+                work: float) -> None:
+        if seconds <= 0.0 or work <= 0.0:
+            return
+        sample = seconds / work
+        with self._lock:
+            old = self._rates.get(adapter_cls)
+            self._rates[adapter_cls] = (
+                sample if old is None else old + _COST_WEIGHT * (sample - old))
+
+
+REFINE_COST = RefineCost()
+
+
+def _chunk_end(clock: DeadlineClock, adapter_cls: type, works, start: int,
+               stop: int, now: float, t_submit: float,
+               deadline: float) -> int:
+    """End (exclusive) of the next ``refine_many`` chunk for an adapter
+    that refines runs of groups.
+
+    Under a :class:`SimulatedClock` the chunk ends exactly where the
+    one-group-at-a-time loop would stop: the clock's own additions are
+    replayed (``charge`` adds ``work / speed``), so reports and clock
+    state are identical to that loop's.  Under a :class:`WallClock`,
+    :func:`wall_chunk_end` at the class's measured cost.  Any other
+    clock's ``now`` cannot be predicted: one group.
+    """
+    if type(clock) is SimulatedClock:
+        speed = clock.speed
+        now += works[start] / speed
+        end = start + 1
+        while end < stop and now - t_submit < deadline:
+            now += works[end] / speed
+            end += 1
+        return end
+    if type(clock) is WallClock:
+        return wall_chunk_end(works, start, stop,
+                              deadline - (now - t_submit),
+                              REFINE_COST.rate(adapter_cls))
+    return start + 1
 
 
 def process_component(adapter: ServiceAdapter, partition, synopsis: Synopsis,
@@ -118,8 +210,9 @@ def refine_to_depth(adapter: ServiceAdapter, partition, synopsis: Synopsis,
 
     The coupled experiments first simulate latency to learn how many
     ranked groups each component had time for, then replay exactly that
-    depth through the real service code to measure accuracy (DESIGN.md
-    §5.1).  ``depth`` is clamped to the number of groups.
+    depth through the real service code to measure accuracy (see
+    :mod:`repro.experiments.coupling`).  ``depth`` is clamped to the
+    number of groups, which are refined in one ``refine_many`` call.
 
     Returns the finalized component result.
     """
@@ -127,8 +220,8 @@ def refine_to_depth(adapter: ServiceAdapter, partition, synopsis: Synopsis,
         raise ValueError("depth must be non-negative")
     state, correlations = adapter.initial_result(synopsis, request)
     order = np.argsort(-np.asarray(correlations), kind="stable")
-    for g in order[: min(depth, synopsis.n_aggregated)]:
-        state = adapter.refine(partition, synopsis, int(g), request, state)
+    state = adapter.refine_many(partition, synopsis, order[:depth].tolist(),
+                                request, state)
     return adapter.finalize(state, request)
 
 
@@ -138,6 +231,9 @@ class ProcessingReport:
 
     groups_ranked: list = field(default_factory=list)   # group ids, best first
     groups_processed: int = 0
+    refine_calls: int = field(default=0, compare=False)  # refine_many
+    #   calls the groups were refined in: how the run was chunked, not
+    #   what it computed, hence outside equality
     work_units: float = 0.0
     synopsis_elapsed: float = 0.0   # seconds spent in stage 1
     total_elapsed: float = 0.0      # stage 1 + refinement
@@ -265,27 +361,40 @@ class AccuracyAwareProcessor:
         # Stage 2: rank groups by correlation, refine best-first.
         # Stable argsort on -corr: ties broken by group id for determinism.
         order = np.argsort(-np.asarray(correlations), kind="stable")
-        report.groups_ranked = order.tolist()
+        ranked = report.groups_ranked = order.tolist()
 
         i_max = self.i_max
+        stop = min(len(ranked), i_max)
+        works = [self.adapter.group_work(self.synopsis, g)
+                 for g in ranked[:stop]]
+        chunked = (type(self.adapter).refine_many
+                   is not ServiceAdapter.refine_many)
+        measured = chunked and type(clock) is WallClock
         i = 0
         while True:
-            if i >= len(report.groups_ranked):
+            if i >= len(ranked):
                 report.exhausted = True
                 break
             if i >= i_max:
                 report.hit_imax = True
                 break
-            if clock.now() - t_submit >= deadline:
+            now = clock.now()
+            if now - t_submit >= deadline:
                 report.hit_deadline = True
                 break
-            g = report.groups_ranked[i]
-            work = self.adapter.group_work(self.synopsis, g)
-            state = self.adapter.refine(self.partition, self.synopsis, g,
-                                        request, state)
-            clock.charge(work)
-            report.work_units += work
-            i += 1
+            end = (_chunk_end(clock, type(self.adapter), works, i, stop,
+                              now, t_submit, deadline)
+                   if chunked else i + 1)
+            state = self.adapter.refine_many(self.partition, self.synopsis,
+                                             ranked[i:end], request, state)
+            if measured:
+                REFINE_COST.observe(type(self.adapter), clock.now() - now,
+                                    sum(works[i:end]))
+            for work in works[i:end]:
+                clock.charge(work)
+                report.work_units += work
+            report.refine_calls += 1
+            i = end
 
         report.groups_processed = i
         report.total_elapsed = clock.now() - t_begin

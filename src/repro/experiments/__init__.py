@@ -1,15 +1,15 @@
 """Experiment runners reproducing every table and figure of §4.
 
-Each module regenerates one paper artifact (see DESIGN.md §4 for the
-index); the benchmarks under ``benchmarks/`` are thin wrappers that call
-these runners and print the paper-shaped rows/series.
+Each module regenerates one paper artifact (indexed below); the
+benchmarks under ``benchmarks/`` are thin wrappers that call these
+runners and print the paper-shaped rows/series.
 
 - :mod:`repro.experiments.common` — latency profiles, cluster scale,
   technique runner shared by all latency experiments;
 - :mod:`repro.experiments.cf_service` / :mod:`repro.experiments.search_service`
   — scaled "accuracy substrates": real service instances whose refinement
   depths / skip fractions are driven by the latency simulation
-  (DESIGN.md §5.1);
+  (see :mod:`repro.experiments.coupling`);
 - :mod:`repro.experiments.cf_tables` — Tables 1 & 2;
 - :mod:`repro.experiments.fig3` — synopsis-updating overheads;
 - :mod:`repro.experiments.fig4` — synopsis effectiveness sections;

@@ -4,7 +4,7 @@ Table 1 — 99.9th-percentile component latency (ms) of Basic / Request
 reissue / AccuracyTrader at arrival rates 20..100 req/s.  Table 2 —
 accuracy-loss percentages of Partial execution vs AccuracyTrader for the
 same runs.  One latency simulation per rate drives both tables
-(DESIGN.md §5.1).
+(see :mod:`repro.experiments.coupling`).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ leaves).
 
 Measured with real wall-clock time over our own algorithms — the one
 place in the reproduction where wall time is honest (pure algorithmic
-cost, no concurrency; see DESIGN.md §5.6).
+cost, no concurrency).
 """
 
 from __future__ import annotations

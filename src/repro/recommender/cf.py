@@ -22,9 +22,10 @@ import numpy as np
 
 from repro.recommender import similarity
 from repro.recommender.matrix import RatingMatrix
+from repro.util.spans import span_indices
 
 __all__ = ["CFPrediction", "CFComponent", "GroupedRatings",
-           "merge_predictions"]
+           "SynopsisRatings", "merge_predictions"]
 
 
 @dataclass
@@ -46,6 +47,18 @@ class CFPrediction:
             self.numer[i] = self.numer.get(i, 0.0) + n
             self.denom[i] = self.denom.get(i, 0.0) + other.denom[i]
         return self
+
+    @staticmethod
+    def from_sums(active_mean: float, targets, numer, denom,
+                  touched) -> "CFPrediction":
+        """The prediction holding ``numer[k]`` / ``denom[k]`` for the
+        target ``targets[k]`` of every ``touched`` slot ``k``."""
+        pred = CFPrediction(active_mean=active_mean)
+        for k in np.flatnonzero(touched).tolist():
+            item = int(targets[k])
+            pred.numer[item] = float(numer[k])
+            pred.denom[item] = float(denom[k])
+        return pred
 
     def predict(self, item: int) -> float:
         """Point prediction for ``item`` given the evidence absorbed so far."""
@@ -182,14 +195,15 @@ class GroupedRatings:
     the Pearson weights, again for the Resnick sums) and re-derives the
     active user's and the targets' lookup structures on every call; this
     layout stores every group's rows contiguously (``items``, ``vals``,
-    the rating's deviation from its user's mean, the user's index inside
-    the group) so a group is one slice, and :meth:`plan` does the
-    per-request work once.
+    the rating's deviation from its user's mean, the user's position in
+    the layout) so a group is one span, :meth:`plan` does the
+    per-request work once, and :meth:`partial_sums` refines any number
+    of groups in one pass over their spans.
 
-    :meth:`partial_prediction` is bit-identical to the component's: the
-    five Pearson sums and the two Resnick sums are accumulated by
-    ``bincount`` over the same entries in the same (user, item) order,
-    and finished by the same :func:`similarity._pearson_from_sums`.
+    The sums are bit-identical to the component's: the five Pearson
+    sums and the two Resnick sums are accumulated by ``bincount`` over
+    the same entries in the same (user, item) order, and finished by the
+    same :func:`similarity._pearson_from_sums`.
 
     ``groups`` are the synopsis index file's member arrays (sorted user
     ids, disjoint).
@@ -205,11 +219,11 @@ class GroupedRatings:
         self._items = matrix.item_ids[idx]
         self._vals = matrix.values[idx]
         self._dev = self._vals - np.repeat(component.user_means[users], lens)
+        self._n_users = users.size
+        self._user = np.repeat(np.arange(users.size), lens)
         user_start = np.concatenate(([0], np.cumsum(sizes)))
-        self._seg = np.repeat(
-            np.arange(users.size) - np.repeat(user_start[:-1], sizes), lens)
-        self._sizes = sizes.tolist()
-        self._starts = np.concatenate(([0], np.cumsum(lens)))[user_start].tolist()
+        # Group g's entries are _bounds[g]:_bounds[g + 1].
+        self._bounds = np.concatenate(([0], np.cumsum(lens)))[user_start]
 
     def plan(self, active_items, active_vals, target_items):
         """The group-independent half of one request, or ``None``.
@@ -237,45 +251,108 @@ class GroupedRatings:
         table[sorted_items[known]] = known
         return table
 
+    def partial_sums(self, plan, group_ids):
+        """Resnick partial sums of several groups, one row per group.
+
+        Returns ``(numer, denom, touched)``, each of shape
+        ``(len(group_ids), T)`` over the plan's ``T`` sorted unique
+        targets: row ``k`` holds group ``group_ids[k]``'s sums, and
+        ``touched`` marks the targets some user of the group with a
+        non-zero weight rated.  The groups' spans are read end to end in
+        one pass; since groups partition the users, every user's Pearson
+        sums and every (group, target) Resnick sum still accumulate
+        their entries in the one-group order.
+        """
+        active_slot, active_vals, target_slot, targets = plan
+        group_ids = np.asarray(group_ids, dtype=np.int64)
+        k, t = group_ids.size, targets.size
+        lo = self._bounds[group_ids]
+        lens = self._bounds[group_ids + 1] - lo
+        if t == 0 or not lens.any():
+            return (np.zeros((k, t)), np.zeros((k, t)),
+                    np.zeros((k, t), dtype=bool))
+        idx = span_indices(lo, lens)
+        items, user = self._items[idx], self._user[idx]
+        slot = active_slot[items]
+        hit = slot >= 0
+        xa = self._vals[idx[hit]]
+        xb = active_vals[slot[hit]]
+        user_h = user[hit]
+        n_users = self._n_users
+        n = np.bincount(user_h, minlength=n_users)
+        sa, sb, saa, sbb, sab = similarity._sequential_sums(
+            user_h, n_users, xa, xb, xa * xa, xb * xb, xa * xb)
+        weights = similarity._pearson_from_sums(n, sa, sb, saa, sbb, sab)
+        t_pos = target_slot[items]
+        on_target = (t_pos >= 0).nonzero()[0]
+        w = weights[user[on_target]]
+        on_target, w = on_target[w != 0.0], w[w != 0.0]
+        # One bin per (row, target): row-major keys keep the rows apart.
+        key = (np.repeat(np.arange(k) * t, lens)[on_target]
+               + t_pos[on_target])
+        cells = k * t
+        numer = np.bincount(key, weights=w * self._dev[idx[on_target]],
+                            minlength=cells)
+        denom = np.bincount(key, weights=np.abs(w), minlength=cells)
+        touched = np.bincount(key, minlength=cells) > 0
+        return (numer.reshape(k, t), denom.reshape(k, t),
+                touched.reshape(k, t))
+
     def partial_prediction(self, plan, group_id: int,
                            active_mean: float) -> CFPrediction:
-        """Resnick partial sums over group ``group_id``'s users.
+        """Resnick partial sums over group ``group_id``'s users: the
+        one-group case of :meth:`partial_sums`.
 
         Equal to ``component.partial_prediction(..., user_ids=members)``
         for the request ``plan`` was made from.
         """
-        active_slot, active_vals, target_slot, targets = plan
-        pred = CFPrediction(active_mean=active_mean)
-        size = self._sizes[group_id]
-        lo, hi = self._starts[group_id], self._starts[group_id + 1]
-        if lo == hi or targets.size == 0:
-            return pred
-        items, seg = self._items[lo:hi], self._seg[lo:hi]
-        slot = active_slot[items]
-        hit = slot >= 0
-        xa = self._vals[lo:hi][hit]
-        xb = active_vals[slot[hit]]
-        seg_h = seg[hit]
-        n = np.bincount(seg_h, minlength=size)
-        sa, sb, saa, sbb, sab = similarity._sequential_sums(
-            seg_h, size, xa, xb, xa * xa, xb * xb, xa * xb)
-        weights = similarity._pearson_from_sums(n, sa, sb, saa, sbb, sab)
-        t_pos = target_slot[items]
-        on_target = (t_pos >= 0).nonzero()[0]
-        w = weights[seg[on_target]]
-        on_target, w = on_target[w != 0.0], w[w != 0.0]
-        if on_target.size == 0:
-            return pred
-        t_pos = t_pos[on_target]
-        numer = np.bincount(t_pos, weights=w * self._dev[lo:hi][on_target],
-                            minlength=targets.size)
-        denom = np.bincount(t_pos, weights=np.abs(w), minlength=targets.size)
-        touched = np.bincount(t_pos, minlength=targets.size).nonzero()[0]
-        for t in touched.tolist():
-            item = int(targets[t])
-            pred.numer[item] = float(numer[t])
-            pred.denom[item] = float(denom[t])
-        return pred
+        numer, denom, touched = self.partial_sums(plan, [group_id])
+        return CFPrediction.from_sums(active_mean, plan[3], numer[0],
+                                      denom[0], touched[0])
+
+
+class SynopsisRatings:
+    """A CF synopsis payload's ratings, indexed for Algorithm 1's stage 1.
+
+    Stage 1 weighs every aggregated user against the active user, then
+    reads the aggregated ratings of the request's few target items.
+    Built once per published synopsis: the user of every rating entry
+    (so the Pearson weights are one dense gather,
+    :func:`similarity.pearson_weights_gathered`), and every item's
+    entries in CSC order — item-major, users ascending — with each
+    entry's deviation from its user's mean, so reading the targets
+    touches only the target columns.
+    """
+
+    def __init__(self, payload: CFComponent):
+        matrix = payload.matrix
+        self.matrix = matrix
+        self._entry_user = np.repeat(np.arange(matrix.n_users),
+                                     np.diff(matrix.indptr))
+        by_item = np.argsort(matrix.item_ids, kind="stable")
+        self._col_user = self._entry_user[by_item]
+        self._col_dev = (matrix.values
+                         - payload.user_means[self._entry_user])[by_item]
+        self._col_ptr = np.searchsorted(matrix.item_ids[by_item],
+                                        np.arange(matrix.n_items + 1))
+
+    def weights(self, actives) -> np.ndarray:
+        """Equal to ``similarity.pearson_weights_batch(matrix, actives)``."""
+        return similarity.pearson_weights_gathered(
+            self.matrix, self._entry_user, actives)
+
+    def target_entries(self, targets: np.ndarray):
+        """``(users, slots, deviations)`` of every rating of the sorted
+        ``targets``; ``slots`` index ``targets``.  Targets outside the
+        matrix have no ratings."""
+        inside = np.flatnonzero((targets >= 0)
+                                & (targets < self.matrix.n_items))
+        cols = targets[inside]
+        lo = self._col_ptr[cols]
+        lens = self._col_ptr[cols + 1] - lo
+        idx = span_indices(lo, lens)
+        return self._col_user[idx], np.repeat(inside, lens), \
+            self._col_dev[idx]
 
 
 def merge_predictions(parts, active_mean: float | None = None) -> CFPrediction:

@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.spans import span_indices
+
 __all__ = [
     "pearson",
     "pearson_weights",
     "pearson_weights_scalar",
     "pearson_weights_batch",
+    "pearson_weights_gathered",
 ]
 
 # Below this many co-rated items a Pearson estimate is statistically
@@ -122,10 +125,7 @@ def _row_entries(matrix, users):
     """
     starts = matrix.indptr[users]
     lens = matrix.indptr[users + 1] - starts
-    total = int(lens.sum())
-    seg_end = np.cumsum(lens)
-    idx = np.repeat(starts - (seg_end - lens), lens) + np.arange(total)
-    return idx, lens
+    return span_indices(starts, lens), lens
 
 
 def _has_duplicate_items(active_items) -> bool:
@@ -213,6 +213,18 @@ def pearson_weights_batch(matrix, actives) -> np.ndarray:
     and a set of ``bincount`` reductions — no per-request CSR walk, no
     batch-sized temporaries.
     """
+    return pearson_weights_gathered(
+        matrix, np.repeat(np.arange(matrix.n_users), np.diff(matrix.indptr)),
+        actives)
+
+
+def pearson_weights_gathered(matrix, entry_user, actives) -> np.ndarray:
+    """:func:`pearson_weights_batch` with the CSR expansion supplied.
+
+    ``entry_user[e]`` is the user of rating entry ``e`` (what the batch
+    function derives from ``matrix.indptr``); callers that keep it per
+    matrix skip the expansion on every call.
+    """
     n_users = matrix.n_users
     out = np.zeros((len(actives), n_users))
     clean: list[tuple[int, np.ndarray, np.ndarray]] = []
@@ -228,7 +240,6 @@ def pearson_weights_batch(matrix, actives) -> np.ndarray:
         return out
     items = matrix.item_ids
     vals = matrix.values
-    entry_user = np.repeat(np.arange(n_users), np.diff(matrix.indptr))
     # Dense item -> active-slot table, reset between requests by undoing
     # only the slots each request touched (active sets are tiny next to
     # the item vocabulary).

@@ -2,8 +2,7 @@
 
 A :class:`SearchComponent` owns one partition's inverted index and answers
 queries with scored hits; :func:`merge_topk` combines hits from many
-components (or many refinement rounds on one component) into a global
-top-k, deterministically tie-broken by doc id.
+components into a global top-k, deterministically tie-broken by doc id.
 """
 
 from __future__ import annotations

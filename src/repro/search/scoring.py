@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.util.spans import span_indices
+
 __all__ = ["tf_weight", "idf_weight", "score_query", "score_query_scalar",
            "score_queries", "GroupedPostings"]
 
@@ -189,12 +191,14 @@ class GroupedPostings:
     that by building every query term's contributions over the *whole*
     index and discarding all but the group's; this view does the part
     that does not depend on the group once.  Per doc (at construction):
-    its group, its rank inside the group and its length norm.  Per term
-    (on first use, cached like ``InvertedIndex._cache``): the postings
-    stably re-ordered by group with each group's span, their ``sqrt(tf)``
-    and the term's ``idf**2``.  Per request (:meth:`plan`): each query
-    term's contribution array.  :meth:`score_group` is then one slice
-    per query term and a ``bincount`` over the group's own docs.
+    its group, its position in the group-by-group member layout and its
+    length norm.  Per term (on first use, cached like
+    ``InvertedIndex._cache``): the postings stably re-ordered by group
+    with each group's span, their ``sqrt(tf)`` and the term's
+    ``idf**2``.  Per request (:meth:`plan`): each query term's
+    contribution array.  :meth:`score_groups` then scores any number of
+    groups with one gather of their spans per query term and one
+    ``bincount``; :meth:`score_group` is its one-group case.
 
     Scores are bit-identical to ``score_query``: a doc's contributions
     are accumulated by ``bincount`` in the same query-term order and
@@ -209,21 +213,22 @@ class GroupedPostings:
     def __init__(self, index, groups):
         self.index = index
         self.version = index.version
-        sizes = [g.size for g in groups]
-        starts = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        sizes = np.array([g.size for g in groups], dtype=np.int64)
         members = (np.concatenate(groups).astype(np.int64, copy=False)
                    if groups else np.empty(0, dtype=np.int64))
         self._members = members
         self._norms = index.doc_norms(members)
-        self._starts = starts.tolist()
+        self._n_groups = len(groups)
+        # Group of each member position, and position of each doc.
+        self._group_at = np.repeat(np.arange(len(groups)), sizes)
         n = int(members.max()) + 1 if members.size else 0
         self._group_of = np.full(n, -1, dtype=np.int64)
-        self._group_of[members] = np.repeat(np.arange(len(groups)), sizes)
-        self._rank = np.zeros(n, dtype=np.int64)
-        self._rank[members] = (np.arange(members.size)
-                               - np.repeat(starts[:-1], sizes))
-        # term -> (idf**2, sqrt_tf, rank, {group: (lo, hi)}) or None.
-        # Filled without a lock: racing builders store equal entries.
+        self._group_of[members] = self._group_at
+        self._pos = np.zeros(n, dtype=np.int64)
+        self._pos[members] = np.arange(members.size)
+        # term -> (idf**2, sqrt_tf, pos, bounds) or None; group g's
+        # postings are bounds[g]:bounds[g + 1].  Filled without a lock:
+        # racing builders store equal entries.
         self._terms: dict[str, tuple | None] = {}
 
     def _term(self, term: str):
@@ -241,47 +246,65 @@ class GroupedPostings:
             grouped, group = grouped[group >= 0], group[group >= 0]
             by_group = np.argsort(group, kind="stable")
             order = grouped[by_group]
-            present, first = np.unique(group[by_group], return_index=True)
-            bounds = first.tolist() + [order.size]
-            spans = dict(zip(present.tolist(), zip(bounds, bounds[1:])))
-            entry = (idf * idf, sqrt_tf[order], self._rank[docs[order]], spans)
+            bounds = np.searchsorted(group[by_group],
+                                     np.arange(self._n_groups + 1))
+            entry = (idf * idf, sqrt_tf[order], self._pos[docs[order]],
+                     bounds)
         self._terms[term] = entry
         return entry
 
     def plan(self, query_terms) -> list:
         """The group-independent half of scoring one query.
 
-        One ``(contributions, ranks, spans)`` triple per query term that
-        can score at all (present, ``idf > 0``), in first-seen term
+        One ``(contributions, positions, bounds)`` triple per query term
+        that can score at all (present, ``idf > 0``), in first-seen term
         order — the order ``score_query`` concatenates terms in.
         """
         plan = []
         for term, q_tf in _term_counts(query_terms).items():
             entry = self._term(term)
             if entry is not None:
-                idf2, sqrt_tf, rank, spans = entry
-                plan.append((q_tf * sqrt_tf * idf2, rank, spans))
+                idf2, sqrt_tf, pos, bounds = entry
+                plan.append((q_tf * sqrt_tf * idf2, pos, bounds))
         return plan
 
+    def score_groups(self, plan, group_ids):
+        """``(doc_ids, scores, groups)`` of several groups' matching docs.
+
+        Each query term's spans of all the groups are gathered in plan
+        order and summed by one ``bincount``: a doc belongs to one
+        group, so its contributions still accumulate in query-term
+        order.  Docs come group by group in layout order, ids ascending
+        within a group; ``groups[i]`` is the group of ``doc_ids[i]``.
+        """
+        group_ids = np.asarray(group_ids, dtype=np.int64)
+        positions, contribs = [], []
+        for contrib, pos, bounds in plan:
+            lo = bounds[group_ids]
+            idx = span_indices(lo, bounds[group_ids + 1] - lo)
+            if idx.size:
+                positions.append(pos[idx])
+                contribs.append(contrib[idx])
+        if not positions:
+            return (np.empty(0, dtype=np.int64), np.empty(0),
+                    np.empty(0, dtype=np.int64))
+        pos = positions[0] if len(positions) == 1 else np.concatenate(
+            positions)
+        contrib = contribs[0] if len(contribs) == 1 else np.concatenate(
+            contribs)
+        n = self._members.size
+        totals = np.bincount(pos, weights=contrib, minlength=n)
+        matched = np.bincount(pos, minlength=n).nonzero()[0]
+        return (self._members[matched], totals[matched] / self._norms[matched],
+                self._group_at[matched])
+
     def score_group(self, plan, group_id: int):
-        """``(doc_ids, scores)`` of group ``group_id``'s matching docs.
+        """``(doc_ids, scores)`` of group ``group_id``'s matching docs:
+        the one-group case of :meth:`score_groups`.
 
         Doc ids ascend; equal to the items of
         ``score_query(index, terms, doc_ids=groups[group_id])`` for the
         ``terms`` the plan was made from.
         """
-        lo, hi = self._starts[group_id], self._starts[group_id + 1]
-        ranks, contribs = [], []
-        for contrib, rank, spans in plan:
-            span = spans.get(group_id)
-            if span is not None:
-                ranks.append(rank[span[0]:span[1]])
-                contribs.append(contrib[span[0]:span[1]])
-        if not ranks:
-            return np.empty(0, dtype=np.int64), np.empty(0)
-        rank = ranks[0] if len(ranks) == 1 else np.concatenate(ranks)
-        contrib = contribs[0] if len(ranks) == 1 else np.concatenate(contribs)
-        totals = np.bincount(rank, weights=contrib, minlength=hi - lo)
-        matched = np.bincount(rank, minlength=hi - lo).nonzero()[0]
-        return (self._members[lo:hi][matched],
-                totals[matched] / self._norms[lo:hi][matched])
+        doc_ids, scores, _ = self.score_groups(plan, [group_id])
+        return doc_ids, scores

@@ -217,6 +217,7 @@ def run_component_task(task: ComponentTask) -> ComponentOutcome:
                     start_time=task.start_time,
                 )
             kernel.tag(groups_processed=report.groups_processed,
+                       refine_calls=report.refine_calls,
                        work_units=report.work_units)
             spans = tuple(rec.spans)
     if task.state_ref is not None:
@@ -282,6 +283,7 @@ def run_component_batch(tasks: Sequence[ComponentTask]) -> list[ComponentOutcome
                     kernel = rec.span("kernel", component=task.component,
                                       batch_size=len(entries),
                                       groups_processed=report.groups_processed,
+                                      refine_calls=report.refine_calls,
                                       work_units=report.work_units)
                     kernel.span.start = t_batch0
                     kernel.finish(end=t_batch1)

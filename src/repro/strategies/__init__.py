@@ -13,7 +13,7 @@ These are *work models* consumed by the cluster simulators: they say how
 many work units a component spends on a sub-operation and record the
 bookkeeping their accuracy accounting needs.  The real result-producing
 code paths live in :mod:`repro.core`; experiment runners couple the two
-(see DESIGN.md §5.1).
+(see :mod:`repro.experiments.coupling`).
 """
 
 from repro.strategies.base import ComponentWorkModel

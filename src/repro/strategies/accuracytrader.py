@@ -9,7 +9,7 @@ O(log m) from the prefix sums of the (ranked) group work sizes.
 The model records the per-sub-operation refinement depth, which the
 experiment runners feed back into the *real* Algorithm-1 execution to
 measure accuracy — one consistent run produces both latency and accuracy
-(DESIGN.md §5.1).
+(see :mod:`repro.experiments.coupling`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Workload generators standing in for the paper's datasets and traces.
 
 Each generator documents the real artifact it substitutes and which
-properties it preserves (see DESIGN.md §2):
+properties it preserves:
 
 - :mod:`repro.workloads.movielens` — MovieLens 10M rating matrix;
 - :mod:`repro.workloads.corpus` — Sogou web-page collection;

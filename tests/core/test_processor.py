@@ -2,9 +2,33 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.clock import SimulatedClock
-from repro.core.processor import AccuracyAwareProcessor, refine_to_depth
+from repro.core.adapters import (CFAdapter, CFRequest, SearchAdapter,
+                                 SearchQuery, ServiceAdapter)
+from repro.core.clock import SimulatedClock, WallClock
+from repro.core.processor import (REFINE_COST, AccuracyAwareProcessor,
+                                  RefineCost, process_component,
+                                  refine_to_depth, wall_chunk_end)
+from repro.serving.adapters import IOStallAdapter
+
+
+class OneGroupCFAdapter(CFAdapter):
+    """``CFAdapter`` scheduled one group per call: the base-class fold."""
+
+    refine_many = ServiceAdapter.refine_many
+
+
+class OneGroupSearchAdapter(SearchAdapter):
+    """``SearchAdapter`` scheduled one group per call: the base-class fold."""
+
+    refine_many = ServiceAdapter.refine_many
+
+
+def answer_key(answer):
+    if isinstance(answer, list):
+        return [(h.doc_id, h.score) for h in answer]
+    return answer.active_mean, answer.numer, answer.denom
 
 
 class TestProcessorCF:
@@ -177,3 +201,141 @@ class TestRefineToDepth:
         exact = cf_adapter.exact(small_ratings.matrix, cf_request)
         for item in cf_request.target_items:
             assert full.predict(item) == pytest.approx(exact.predict(item))
+
+
+class TestChunkSchedule:
+    """Runs of ranked groups go to ``refine_many`` in chunks; under a
+    simulated clock the chunk is exactly what the one-group-per-call
+    schedule refines, so nothing observable changes."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(family=st.sampled_from(["cf", "search"]),
+           seed=st.integers(0, 10_000), speed=st.floats(20.0, 5000.0),
+           deadline=st.floats(0.0, 3.0), queued=st.floats(0.0, 0.5),
+           cap=st.one_of(st.none(), st.integers(0, 20)),
+           boundary=st.one_of(st.none(), st.integers(0, 12)))
+    def test_simulated_run_equals_one_group_run(
+            self, small_ratings, cf_synopsis, small_corpus, search_synopsis,
+            family, seed, speed, deadline, queued, cap, boundary):
+        rng = np.random.default_rng(seed)
+        if family == "cf":
+            partition, (synopsis, _) = small_ratings.matrix, cf_synopsis
+            ids, vals = partition.user_ratings(
+                int(rng.integers(partition.n_users)))
+            keep = rng.random(ids.size) < 0.7
+            request = CFRequest(
+                active_items=ids[keep], active_vals=vals[keep],
+                target_items=rng.choice(partition.n_items, size=5,
+                                        replace=False).tolist())
+            adapters = (CFAdapter(), OneGroupCFAdapter())
+        else:
+            partition, (synopsis, _) = small_corpus.partition, search_synopsis
+            request = SearchQuery(terms=small_corpus.topic_words(
+                int(rng.integers(8)), n=3, rng=rng), k=10)
+            adapters = (SearchAdapter(), OneGroupSearchAdapter())
+        if boundary is not None:
+            # A deadline the clock reaches exactly after `boundary`
+            # ranked groups: the stop rule's `>=` fires with equality.
+            _, corr = adapters[1].initial_result(synopsis, request)
+            ranked = np.argsort(-corr, kind="stable")[:boundary]
+            probe = SimulatedClock(start=1.0, speed=speed)
+            probe.charge(adapters[1].synopsis_work(synopsis))
+            for g in ranked.tolist():
+                probe.charge(adapters[1].group_work(synopsis, g))
+            deadline = probe.now() - (1.0 - queued)
+        runs = []
+        for adapter in adapters:
+            clock = SimulatedClock(start=1.0, speed=speed)
+            result, report = process_component(
+                adapter, partition, synopsis, request, deadline, clock=clock,
+                i_max=cap, start_time=1.0 - queued)
+            runs.append((answer_key(result), report,
+                         (clock.now(), clock.work_charged)))
+        (answer, report, clock_state), (answer1, report1, clock_state1) = runs
+        assert answer == answer1
+        assert report == report1        # every field but refine_calls
+        assert clock_state == clock_state1
+        assert report1.refine_calls == report1.groups_processed
+        assert report.refine_calls == min(1, report.groups_processed)
+
+    def test_wall_clock_chunks_once_the_cost_is_measured(
+            self, small_ratings, cf_synopsis, cf_request):
+        synopsis, _ = cf_synopsis
+        matrix, adapter = small_ratings.matrix, CFAdapter()
+        process_component(adapter, matrix, synopsis, cf_request, 10.0,
+                          clock=WallClock())
+        assert REFINE_COST.rate(CFAdapter) is not None
+        result, report = process_component(adapter, matrix, synopsis,
+                                           cf_request, 10.0,
+                                           clock=WallClock())
+        assert report.exhausted
+        assert report.refine_calls < report.groups_processed
+        expect, _ = process_component(adapter, matrix, synopsis, cf_request,
+                                      10.0, clock=SimulatedClock(speed=1e9))
+        assert answer_key(result) == answer_key(expect)
+
+    def test_stall_adapter_keeps_the_one_group_schedule(
+            self, small_ratings, cf_synopsis, cf_request):
+        # IOStallAdapter keeps the base refine_many: one group per call,
+        # the deadline checked between groups, under every clock.
+        synopsis, _ = cf_synopsis
+        matrix = small_ratings.matrix
+        stall = IOStallAdapter(CFAdapter())
+        expect, _ = process_component(CFAdapter(), matrix, synopsis,
+                                      cf_request, 10.0,
+                                      clock=SimulatedClock(speed=1e9))
+        for clock in (SimulatedClock(speed=1e9), WallClock()):
+            result, report = process_component(stall, matrix, synopsis,
+                                               cf_request, 10.0, clock=clock)
+            assert report.refine_calls == report.groups_processed \
+                == synopsis.n_aggregated
+            assert answer_key(result) == answer_key(expect)
+
+
+class TestWallChunkRule:
+    def test_no_estimate_is_one_group(self):
+        assert wall_chunk_end([1.0] * 5, 2, 5, 10.0, None) == 3
+
+    def test_half_the_remaining_budget(self):
+        # 1 s left at 0.125 s per unit: half of it buys 4 units.
+        assert wall_chunk_end([2.0, 2.0, 1.0, 1.0], 0, 4, 1.0, 0.125) == 2
+        assert wall_chunk_end([2.0, 1.0, 1.0, 1.0], 0, 4, 1.0, 0.125) == 3
+
+    def test_at_least_one_group(self):
+        assert wall_chunk_end([100.0, 1.0], 0, 2, 1.0, 1.0) == 1
+        assert wall_chunk_end([1.0, 1.0], 0, 2, -1.0, 1.0) == 1
+
+    def test_never_past_stop(self):
+        assert wall_chunk_end([0.0] * 10, 3, 6, 1.0, 1.0) == 6
+
+    @settings(max_examples=200, deadline=None)
+    @given(works=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=20),
+           remaining=st.floats(-1.0, 10.0),
+           rate=st.one_of(st.none(), st.floats(1e-6, 1.0)), data=st.data())
+    def test_longest_run_that_fits(self, works, remaining, rate, data):
+        start = data.draw(st.integers(0, len(works) - 1))
+        stop = data.draw(st.integers(start + 1, len(works)))
+        end = wall_chunk_end(works, start, stop, remaining, rate)
+        assert start + 1 <= end <= stop
+        if rate is None:
+            assert end == start + 1
+            return
+        budget = 0.5 * remaining / rate
+        spent = sum(works[start:end])
+        assert end == start + 1 or spent <= budget
+        assert end == stop or spent + works[end] > budget
+
+
+class TestRefineCost:
+    def test_moving_average_per_adapter_class(self):
+        cost = RefineCost()
+        assert cost.rate(CFAdapter) is None
+        cost.observe(CFAdapter, 2.0, 4.0)
+        assert cost.rate(CFAdapter) == 0.5
+        cost.observe(CFAdapter, 1.0, 4.0)
+        moved = cost.rate(CFAdapter)
+        assert 0.25 < moved < 0.5
+        cost.observe(CFAdapter, 0.0, 4.0)     # nothing measured
+        cost.observe(CFAdapter, 1.0, 0.0)     # nothing refined
+        assert cost.rate(CFAdapter) == moved
+        assert cost.rate(SearchAdapter) is None

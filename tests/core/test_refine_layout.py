@@ -7,6 +7,9 @@ plan; the oracles are the calls they replaced —
 
 - bit-identity for random corpora / rating matrices and random
   groupings, including the inputs the CF plan defers;
+- ``refine_many`` over any run of groups equals the fold of ``refine``
+  (the oracles refine one group per call, so whole runs compare the
+  chunked path with them);
 - the layout follows every published snapshot (``change_points``,
   ``add_points``, ``replace_partition``) while pinned in-flight requests
   keep answering from theirs, and an index mutated in place is noticed;
@@ -24,7 +27,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.adapters import CFAdapter, CFRequest, SearchAdapter, SearchQuery
+from repro.core.adapters import (CFAdapter, CFRequest, SearchAdapter,
+                                 SearchQuery, ServiceAdapter)
 from repro.core.builder import SynopsisConfig
 from repro.core.clock import SimulatedClock
 from repro.core.processor import process_component, refine_to_depth
@@ -42,23 +46,39 @@ DEADLINE = 10.0
 
 
 class OracleSearchAdapter(SearchAdapter):
-    """``SearchAdapter`` refining through the whole-partition oracle."""
+    """``SearchAdapter`` refining through the whole-partition oracle, one
+    group per call (``refine_many`` is the base class's fold)."""
+
+    refine_many = ServiceAdapter.refine_many
 
     def refine(self, partition, synopsis, group_id, request, state):
         members = synopsis.index.members(group_id)
-        state["refined"][group_id] = SearchComponent(partition.index).search(
-            request.terms, doc_ids=members)
+        hits = SearchComponent(partition.index).search(request.terms,
+                                                       doc_ids=members)
+        state["refined"].add(
+            [group_id], np.array([h.doc_id for h in hits], dtype=np.int64),
+            np.array([h.score for h in hits]),
+            np.full(len(hits), group_id, dtype=np.int64))
         state["estimated"].pop(group_id, None)
         return state
 
 
 class OracleCFAdapter(CFAdapter):
-    """``CFAdapter`` refining through ``CFComponent.partial_prediction``."""
+    """``CFAdapter`` refining through ``CFComponent.partial_prediction``,
+    one group per call (``refine_many`` is the base class's fold)."""
+
+    refine_many = ServiceAdapter.refine_many
 
     def refine(self, partition, synopsis, group_id, request, state):
-        state.overrides[group_id] = CFComponent(partition).partial_prediction(
+        pred = CFComponent(partition).partial_prediction(
             request.active_items, request.active_vals, request.target_items,
             request.active_mean, user_ids=synopsis.index.members(group_id))
+        slots = np.searchsorted(state.targets, list(pred.numer))
+        state.numer[group_id] = state.denom[group_id] = 0.0
+        state.present[group_id] = False
+        state.numer[group_id, slots] = list(pred.numer.values())
+        state.denom[group_id, slots] = [pred.denom[i] for i in pred.numer]
+        state.present[group_id, slots] = True
         return state
 
 
@@ -173,6 +193,86 @@ class TestCFRefineMatchesOracle:
             state = adapter.refine(matrix, synopsis, g, cf_request, state)
             staged = adapter.refine(matrix, synopsis, g, cf_request, staged)
             assert cf_pairs(state[g]) == cf_pairs(staged[g])
+
+
+def draw_chunks(data, n_groups: int) -> list[list[int]]:
+    """Some of the groups in a random order, cut into random runs (empty
+    runs included)."""
+    order = data.draw(st.permutations(range(n_groups)))
+    order = order[:data.draw(st.integers(0, n_groups))]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(order)),
+                                     max_size=4)))
+    bounds = [0, *cuts, len(order)]
+    return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestRefineManyMatchesFold:
+    """``refine_many(run)`` leaves the state exactly as refining the
+    run's groups one ``refine`` at a time does."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(docs=st.lists(st.lists(st.sampled_from(VOCAB), max_size=8),
+                         min_size=1, max_size=10),
+           terms=st.lists(st.sampled_from(VOCAB + ["zz"]),
+                          min_size=1, max_size=5),
+           n_groups=st.integers(1, 5), k=st.integers(1, 6), data=st.data())
+    def test_search(self, docs, terms, n_groups, k, data):
+        partition = SearchPartition()
+        partition.add_pages(docs)
+        adapter = SearchAdapter()
+        synopsis = synopsis_over(adapter, partition,
+                                 draw_groups(data, len(docs), n_groups))
+        query = SearchQuery(terms=terms, k=k)
+        fold, _ = adapter.initial_result(synopsis, query)
+        many, _ = adapter.initial_result(synopsis, query)
+        for run in draw_chunks(data, n_groups):
+            for g in run:
+                fold = adapter.refine(partition, synopsis, g, query, fold)
+            many = adapter.refine_many(partition, synopsis, run, query, many)
+            assert dict(many["refined"]) == dict(fold["refined"])
+            assert many["estimated"].keys() == fold["estimated"].keys()
+        assert hit_pairs(adapter.finalize(many, query)) == \
+            hit_pairs(adapter.finalize(fold, query))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(st.integers(0, 5), min_size=N_ITEMS,
+                                  max_size=N_ITEMS),
+                         min_size=1, max_size=8),
+           # duplicate, too few and out-of-matrix active items included
+           active=st.lists(st.tuples(st.integers(0, N_ITEMS + 1),
+                                     st.integers(1, 5)), max_size=6),
+           targets=st.lists(st.integers(0, N_ITEMS + 1), max_size=4),
+           n_groups=st.integers(1, 4), data=st.data())
+    def test_cf(self, rows, active, targets, n_groups, data):
+        dense = np.asarray(rows, dtype=float)
+        users, items = np.nonzero(dense)
+        matrix = RatingMatrix(users, items, dense[users, items],
+                              n_users=dense.shape[0], n_items=N_ITEMS)
+        adapter = CFAdapter()
+        synopsis = synopsis_over(adapter, matrix,
+                                 draw_groups(data, matrix.n_users, n_groups))
+        request = CFRequest(active_items=[i for i, _ in active],
+                            active_vals=[float(v) for _, v in active],
+                            target_items=targets)
+        fold, _ = adapter.initial_result(synopsis, request)
+        many, _ = adapter.initial_result(synopsis, request)
+        # The scalar oracle's dict-of-predictions state takes both too.
+        fold_d, _ = adapter.initial_result_scalar(synopsis, request)
+        many_d, _ = adapter.initial_result_scalar(synopsis, request)
+        for run in draw_chunks(data, n_groups):
+            for g in run:
+                fold = adapter.refine(matrix, synopsis, g, request, fold)
+                fold_d = adapter.refine(matrix, synopsis, g, request, fold_d)
+            many = adapter.refine_many(matrix, synopsis, run, request, many)
+            many_d = adapter.refine_many(matrix, synopsis, run, request,
+                                         many_d)
+            for name in ("numer", "denom", "present"):
+                assert getattr(many, name).tobytes() == \
+                    getattr(fold, name).tobytes()
+            assert {g: cf_pairs(p) for g, p in many_d.items()} == \
+                {g: cf_pairs(p) for g, p in fold_d.items()}
+        assert cf_pairs(adapter.finalize(many, request)) == \
+            cf_pairs(adapter.finalize(fold, request))
 
 
 class TestWholeRunsMatchOracle:

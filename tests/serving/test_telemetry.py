@@ -342,6 +342,24 @@ class TestInProcessStitching:
         assert "state.fetch" in names
         assert_parent_links_valid(spans)
 
+    def test_kernel_span_tags_the_refine_chunking(self, cf_cluster,
+                                                  cf_loadgen):
+        tracer = Tracer()
+        request = cf_loadgen.request_factory(0, np.random.default_rng(0))
+        with use_tracer(tracer):
+            resp = cf_cluster.serve(as_envelope(request, DEADLINE),
+                                    clocks=sim_clocks(2, speed=1e9))
+        (trace_id,) = tracer.trace_ids()
+        tags = [s.tags for s in tracer.spans_of(trace_id)
+                if s.name == "kernel"]
+        assert sorted((t["groups_processed"], t["refine_calls"])
+                      for t in tags) == \
+            sorted((r.groups_processed, r.refine_calls)
+                   for r in resp.reports)
+        # Simulated clocks: each kernel refines its groups in one call.
+        assert all(t["groups_processed"] > 1 and t["refine_calls"] == 1
+                   for t in tags)
+
     def test_harness_roots_the_request_span(self, cf_cluster, cf_loadgen):
         tracer = Tracer()
         load = cf_loadgen.closed_loop(n_clients=1, n_requests=3)
