@@ -5,13 +5,16 @@ storage stall per synopsis/group fetch (the cost the simulator models as
 work units), then:
 
 1. serves the same latency-bound request stream through the sequential,
-   thread-pool, and process-pool backends and prints the throughput and
-   latency each achieves;
+   thread-pool, and remote (worker-process) backends and prints the
+   throughput and latency each achieves;
 2. serves an open-loop Poisson stream while synopsis updates land
    concurrently, demonstrating that copy-on-swap snapshots keep every
    in-flight answer consistent.
 
 Run:  PYTHONPATH=src python examples/parallel_serving.py
+
+The remote backend starts its workers with ``forkserver`` where
+available, which re-imports ``__main__``: keep the ``__main__`` guard.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from repro.core import AccuracyTraderService, CFAdapter, CFRequest, SynopsisConf
 from repro.serving import (
     IOStallAdapter,
     LoadGenerator,
-    ProcessPoolBackend,
+    RemoteBackend,
     SequentialBackend,
     ServingHarness,
     ThreadPoolBackend,
@@ -65,7 +68,7 @@ def main() -> None:
     # --- backend comparison, latency-bound (one closed-loop client) ----
     load = loadgen.closed_loop(n_clients=1, n_requests=16)
     backends = [SequentialBackend(), ThreadPoolBackend(N_COMPONENTS),
-                ProcessPoolBackend(2)]
+                RemoteBackend(n_workers=2)]
     print(f"\n{'backend':<12}{'req/s':>8}{'p50 ms':>9}{'p95 ms':>9}")
     baseline = None
     for backend in backends:

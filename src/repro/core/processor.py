@@ -87,9 +87,10 @@ class RefineCost:
     """Wall seconds one work unit of ``refine_many`` costs, per adapter
     class: a moving average (EWMA) of every measured call.
 
-    One per process (:data:`REFINE_COST`), like the kernel slot: every
-    task ships its own pickled adapter, so the estimate cannot live on
-    an adapter instance.  Updates are lock-guarded read-modify-writes.
+    One per process (:data:`REFINE_COST`), like the kernel slot: a
+    remote task ships its own pickled adapter, so the estimate cannot
+    live on an adapter instance.  Updates are lock-guarded
+    read-modify-writes.
     """
 
     def __init__(self) -> None:
@@ -278,12 +279,7 @@ class AccuracyAwareProcessor:
 
     def __init__(self, adapter: ServiceAdapter, partition, synopsis: Synopsis,
                  i_max: int | None = None, i_max_fraction: float | None = None):
-        if i_max is not None and i_max_fraction is not None:
-            raise ValueError("pass at most one of i_max / i_max_fraction")
-        if i_max is not None and i_max < 0:
-            raise ValueError("i_max must be non-negative")
-        if i_max_fraction is not None and not (0.0 <= i_max_fraction <= 1.0):
-            raise ValueError("i_max_fraction must be within [0, 1]")
+        effective_i_max(0, i_max, i_max_fraction)  # validates the pair
         self.adapter = adapter
         self.partition = partition
         self.synopsis = synopsis

@@ -9,10 +9,10 @@ API a downstream user needs:
 
 Per-component execution is delegated to a pluggable
 :class:`~repro.serving.backends.ExecutionBackend` (sequential by default;
-thread- or process-pool for real fan-out parallelism).  The fan-out
-*queueing* behaviour still belongs to :mod:`repro.cluster`, which is about
-predicting latency, not producing answers; driving live request streams
-belongs to :mod:`repro.serving`.
+a thread pool, or remote worker processes for real fan-out
+parallelism).  The fan-out *queueing* behaviour still belongs to
+:mod:`repro.cluster`, which is about predicting latency, not producing
+answers; driving live request streams belongs to :mod:`repro.serving`.
 
 Concurrency model (epoch-versioned copy-on-swap)
 ------------------------------------------------
@@ -72,8 +72,8 @@ class AccuracyTraderService:
         search -> global top-k via :func:`~repro.search.engine.merge_topk`.
     backend:
         Default :class:`~repro.serving.backends.ExecutionBackend` (or its
-        name: ``"sequential"``, ``"thread"``, ``"process"``) used by
-        :meth:`process` when no per-call backend is given.
+        name: ``"sequential"``, ``"thread"``, ``"async"``, ``"remote"``)
+        used by :meth:`process` when no per-call backend is given.
     """
 
     def __init__(self, adapter: ServiceAdapter, partitions,

@@ -26,15 +26,14 @@ Execution backends consume refs differently:
 - in-process backends (sequential / thread / async) resolve a ref to
   its pinned published snapshot — a pointer indirection, no copies, no
   locks on the per-task hot path;
-- the vanilla process-pool backend materialises the snapshot into each
-  pickled task (state cost scales with *request* rate);
-- :class:`~repro.serving.backends.PersistentProcessBackend` ships a
-  snapshot to its workers at most once per epoch and sends only the
-  small detached ref per task (state cost scales with *update* rate);
-- :class:`~repro.serving.transport.RemoteBackend` goes one step
-  further for sockets: consecutive epochs travel as **deltas** (see
-  :func:`compute_delta` / :func:`apply_delta` below), so state traffic
-  scales with *update size*, not synopsis size.
+- :class:`~repro.serving.transport.RemoteBackend`, the one
+  out-of-process backend, ships a snapshot to its worker processes at
+  most once per epoch and sends only the small detached ref per task
+  (state cost scales with *update* rate, not request rate); consecutive
+  epochs travel as **deltas** (see :func:`compute_delta` /
+  :func:`apply_delta` below), so state traffic scales with *update
+  size*, not synopsis size.  A live ref never pickles (the store holds
+  a lock), so no path copies a snapshot into a task by accident.
 
 Delta epochs
 ------------
@@ -130,8 +129,8 @@ class StateRef:
     never fails for a ref outliving the store's bounded history.  A
     *detached* ref (``store is None``, ``pinned is None``) carries only
     the identity triple and pickles to a few dozen bytes — the form the
-    persistent process backend ships per task, resolved worker-side
-    from a per-epoch cache.
+    remote backend ships per task, resolved worker-side from a
+    per-epoch cache.
     """
 
     store_id: str
@@ -159,8 +158,8 @@ class StateRef:
         captures ``(epoch, state)`` atomically and snapshots are
         immutable), so resolution is lock-free on the per-task hot
         path; pinless refs go through the store's history.  Detached
-        refs cannot self-resolve — the owning backend resolves them
-        against its worker-side cache.
+        refs cannot self-resolve — the remote backend's workers resolve
+        them against their epoch cache.
         """
         if self.pinned is not None:
             return self.pinned
@@ -168,7 +167,7 @@ class StateRef:
             return self.store.get(self.component, self.epoch)
         raise StaleEpochError(
             f"detached ref {self.key} cannot resolve in-process; "
-            "persistent workers resolve it from their epoch cache")
+            "remote workers resolve it from their epoch cache")
 
 
 @dataclass(frozen=True)

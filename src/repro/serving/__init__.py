@@ -38,13 +38,13 @@ Pieces
   via ``serve`` / ``aserve``; the positional ``process`` / ``aprocess``
   remain as bit-identical legacy shims.
 - :mod:`repro.serving.backends` — :class:`ExecutionBackend` and its
-  sequential / thread-pool / process-pool / persistent-worker
-  implementations; per-component work travels as picklable
-  :class:`ComponentTask` values referencing state by ``(component,
-  epoch)`` into the service's :class:`~repro.core.state.StateStore`,
-  which is what makes execution placement a plug-in — and what lets
-  :class:`PersistentProcessBackend` ship state once per update epoch
-  instead of once per task (payload bytes measured per run in
+  sequential / thread-pool / batching implementations; per-component
+  work travels as :class:`ComponentTask` values referencing state by
+  ``(component, epoch)`` into the service's :class:`~repro.core.state.
+  StateStore`, which is what makes execution placement a plug-in — and
+  what lets :class:`RemoteBackend` (:mod:`repro.serving.transport`)
+  ship state to its worker processes once per update epoch instead of
+  once per task (payload bytes measured per run in
   :class:`ServingRunStats`).
 - :mod:`repro.serving.loadgen` — deterministic open-loop (Poisson,
   bursty) and closed-loop request-stream generation.
@@ -133,8 +133,6 @@ from repro.serving.backends import (
     ComponentOutcome,
     ComponentTask,
     ExecutionBackend,
-    PersistentProcessBackend,
-    ProcessPoolBackend,
     SequentialBackend,
     ThreadPoolBackend,
     resolve_backend,
@@ -172,8 +170,6 @@ __all__ = [
     "ExecutionBackend",
     "SequentialBackend",
     "ThreadPoolBackend",
-    "ProcessPoolBackend",
-    "PersistentProcessBackend",
     "BatchingBackend",
     "resolve_backend",
     "IOStallAdapter",

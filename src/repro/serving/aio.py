@@ -182,6 +182,7 @@ async def aprocess_component(adapter, partition, synopsis, request,
                                           state)
             clock.charge(work)
             report.work_units += work
+            report.refine_calls += 1
             i += 1
 
     if hard_deadline is None:
@@ -242,6 +243,7 @@ async def arun_component_task(task: ComponentTask,
                 i_max=task.i_max, i_max_fraction=task.i_max_fraction,
                 start_time=task.start_time, hard_deadline=hard_deadline)
             kernel.tag(groups_processed=report.groups_processed,
+                       refine_calls=report.refine_calls,
                        work_units=report.work_units)
         spans = tuple(rec.spans)
     if task.state_ref is not None:

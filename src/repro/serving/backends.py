@@ -11,20 +11,18 @@ sub-operations run:
   ThreadPoolExecutor`.  Overlaps per-component blocking time (storage /
   network stalls, GIL-releasing numpy kernels); the right default for a
   live service whose components do I/O.
-- :class:`ProcessPoolBackend` — a shared :class:`~concurrent.futures.
-  ProcessPoolExecutor`.  True CPU parallelism for pure-Python component
-  work, at the cost of pickling each task — *including its state
-  snapshot*, so state distribution cost scales with request rate.
-- :class:`PersistentProcessBackend` — long-lived worker processes with a
-  per-epoch snapshot cache.  Each worker fetches a component's
-  ``(partition, synopsis)`` snapshot at most once per state epoch and
-  caches it; per task only a tiny detached
-  :class:`~repro.core.state.StateRef` travels, so state distribution
-  cost scales with *update* rate (amortised distribution).
+- :class:`BatchingBackend` — wraps any backend and coalesces
+  same-``(component, epoch)`` tasks into one batched submission.
+
+The one out-of-process backend is :class:`~repro.serving.transport.
+RemoteBackend` (``resolve_backend("remote")``): worker processes over
+localhost TCP, each task a small frame holding a detached
+:class:`~repro.core.state.StateRef`, snapshots shipped at most once per
+epoch per worker (as deltas where possible).
 
 At most one Algorithm-1 kernel runs per interpreter (:mod:`repro.core.
 slot`, held at the one execution choke point below): thread pools
-overlap stalls and I/O, processes add CPU parallelism.
+overlap stalls and I/O, worker processes add CPU parallelism.
 
 All backends consume :class:`ComponentTask` values and return
 :class:`ComponentOutcome` values in task order.  A task references its
@@ -34,27 +32,23 @@ component's state by a pinned ``(component, epoch)``
 ``synopsis`` fields remain supported for hand-built tasks).  In-process
 backends resolve the ref at execution time — the dispatch-time epoch,
 never a torn or newer state — which is what makes concurrent synopsis
-updates safe; process backends decide *how* the referenced state
-crosses the process boundary (per task vs per epoch), which is what
+updates safe; the remote backend decides *how* the referenced state
+crosses the process boundary, which is what
 :meth:`ExecutionBackend.payload_counters` measures.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
-import shutil
-import tempfile
 import threading
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.core.clock import DeadlineClock, monotonic
 from repro.core.processor import (ProcessingReport, process_component,
                                   process_component_batch)
 from repro.core.slot import KERNEL_SLOT
-from repro.core.state import ComponentState, StaleEpochError, StateRef
+from repro.core.state import StateRef
 from repro.serving.telemetry import (MetricsRegistry, SpanRecorder,
                                      get_tracer, trace_context_of)
 
@@ -64,8 +58,6 @@ __all__ = [
     "ExecutionBackend",
     "SequentialBackend",
     "ThreadPoolBackend",
-    "ProcessPoolBackend",
-    "PersistentProcessBackend",
     "BatchingBackend",
     "resolve_backend",
     "run_component_task",
@@ -94,10 +86,12 @@ class ComponentTask:
     ``request_id`` / ``request_class`` into the outcome's report
     (``None`` envelope for bare-payload tasks).
 
-    Pickling materialises a live ref into the payload (the vanilla
-    process-pool behaviour: state cost per *task*); the persistent
-    backend detaches the ref first so only its identity triple travels
-    (state cost per *epoch*).
+    A task crosses a process boundary only through
+    :class:`~repro.serving.transport.RemoteBackend`, which detaches the
+    ref first: only its identity triple travels per task, and the
+    snapshot reaches the worker at most once per epoch.  A task holding
+    a *live* ref does not pickle (the store holds a lock), so state is
+    never copied into a payload by accident.
     """
 
     component: int
@@ -133,22 +127,6 @@ class ComponentTask:
             state = self.state_ref.resolve()
             return state.partition, state.synopsis
         return self.partition, self.synopsis
-
-    def __getstate__(self):
-        # Crossing a process boundary with a *live* ref embeds the
-        # snapshot in the payload — per-task state shipping, the vanilla
-        # process-pool cost model — keeping the detached ref as epoch
-        # identity.  An already-detached ref passes through as its tiny
-        # identity triple (the persistent backend's cost model).
-        state = dict(self.__dict__)
-        ref = state.get("state_ref")
-        if ref is not None and (ref.store is not None
-                                or ref.pinned is not None):
-            snapshot = ref.resolve()
-            state["partition"] = snapshot.partition
-            state["synopsis"] = snapshot.synopsis
-            state["state_ref"] = ref.detached()
-        return state
 
 
 @dataclass
@@ -192,7 +170,7 @@ def _task_recorder(task: ComponentTask) -> SpanRecorder | None:
 
 def run_component_task(task: ComponentTask) -> ComponentOutcome:
     """Execute one task inside the process's kernel slot, where its
-    deadline clock starts (module-level so process pools can pickle it)."""
+    deadline clock starts."""
     rec = _task_recorder(task)
     with KERNEL_SLOT:
         if rec is None:
@@ -237,10 +215,8 @@ def run_component_batch(tasks: Sequence[ComponentTask]) -> list[ComponentOutcome
     to per-task :func:`run_component_task` calls under deterministic
     clocks.  The whole batch runs inside one hold of the kernel slot.
 
-    Module-level so process pools can pickle it; grouping keys on object
-    identity, which holds worker-side because one pickled batch
-    deduplicates its shared snapshot (pickle memoization) and the
-    persistent worker cache hands every same-epoch task the same
+    Grouping keys on object identity, which holds in a remote worker
+    because its epoch cache hands every same-epoch task the same
     resolved snapshot object.
     """
     outcomes: list[ComponentOutcome | None] = [None] * len(tasks)
@@ -431,12 +407,9 @@ class ExecutionBackend:
     def payload_counters(self) -> dict:
         """Cumulative serialized-payload accounting (thread-safe snapshot).
 
-        - ``task_bytes`` — serialized task payloads shipped to workers
-          (for the vanilla process pool this *includes* the embedded
-          state snapshot, which is the cost this counter exists to make
-          visible);
+        - ``task_bytes`` — serialized task payloads shipped to workers;
         - ``state_bytes`` — state snapshots shipped separately from
-          tasks (the persistent backend's once-per-epoch publications);
+          tasks (the remote backend's once-per-epoch publications);
         - ``tasks_shipped`` / ``state_publishes`` — the matching counts.
 
         In-process backends move references, not bytes: all zeros.
@@ -521,409 +494,6 @@ class ThreadPoolBackend(ExecutionBackend):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-
-def _preferred_mp_context(start_method: str | None):
-    """A multiprocessing context preferring ``forkserver``.
-
-    Pools may be created lazily from a harness worker thread, and
-    forking an already-multithreaded process can inherit held locks
-    (deprecated in Python 3.12+); forkserver forks from a clean helper
-    process instead.
-    """
-    import multiprocessing as mp
-
-    method = start_method
-    if method is None:
-        available = mp.get_all_start_methods()
-        method = "forkserver" if "forkserver" in available else None
-    return mp.get_context(method) if method is not None else None
-
-
-def _run_pickled_task(blob: bytes) -> ComponentOutcome:
-    """Worker entry: unpickle a pre-serialized task and run it."""
-    return run_component_task(pickle.loads(blob))
-
-
-def _run_pickled_batch(blob: bytes) -> list[ComponentOutcome]:
-    """Worker entry: unpickle a pre-serialized task *list* and run it.
-
-    The list was pickled in one ``dumps`` call, so a state snapshot
-    shared by every task crossed the boundary exactly once (pickle
-    memoization) and unpickles to one shared object — which is also what
-    lets :func:`run_component_batch` group the batch by state identity.
-    """
-    return run_component_batch(pickle.loads(blob))
-
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Run components on a shared process pool — state shipped per task.
-
-    Each task is pickled to a worker with its state snapshot embedded
-    (see :meth:`ComponentTask.__getstate__`) and the (result, report)
-    pickled back; mutations the worker makes to its copies — clock
-    charges, adapter caches — do not propagate, which is exactly the
-    isolation that makes the outcome a pure function of the task.
-
-    Tasks are serialized *here*, not inside the executor, so the
-    per-task payload cost is measured exactly once and surfaced via
-    :meth:`payload_counters` — the number that motivates
-    :class:`PersistentProcessBackend`, which ships state once per epoch
-    instead.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: int | None = None,
-                 start_method: str | None = None):
-        self.max_workers = max_workers
-        self.start_method = start_method
-        self._pool: ProcessPoolExecutor | None = None
-        self._lock = threading.Lock()
-        self._task_bytes = self.metrics.counter("task_bytes")
-        self._tasks_shipped = self.metrics.counter("tasks_shipped")
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    mp_context=_preferred_mp_context(self.start_method))
-            return self._pool
-
-    def _submit_plain(self, task: ComponentTask) -> "Future[ComponentOutcome]":
-        blob = pickle.dumps(task)
-        self._task_bytes.inc(len(blob))
-        self._tasks_shipped.inc()
-        return self._ensure_pool().submit(_run_pickled_task, blob)
-
-    def submit_batch(self, tasks: Sequence[ComponentTask]) -> list[Future]:
-        tasks = list(tasks)
-        if len(tasks) <= 1:
-            return [self.submit_task(t) for t in tasks]
-        # One dumps for the whole batch: a shared snapshot serialises
-        # once instead of once per task — the pickle hop this backend
-        # pays per request collapses to per batch.
-        blob = pickle.dumps(tasks)
-        self._task_bytes.inc(len(blob))
-        self._tasks_shipped.inc(len(tasks))
-        batch = self._ensure_pool().submit(_run_pickled_batch, blob)
-        return _scatter_batch_future(batch, len(tasks))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
-# ---------------------------------------------------------------------------
-# Persistent workers: state shipped once per epoch
-# ---------------------------------------------------------------------------
-
-
-# Worker-side snapshot cache: (store_id, component, epoch) -> ComponentState.
-# Module-level so it survives across tasks in one long-lived worker; a
-# worker holds at most one epoch per (store, component) — inserting a
-# newer epoch evicts the superseded ones (copy-on-swap mirrored
-# worker-side).
-_WORKER_STATE_CACHE: dict[tuple, ComponentState] = {}
-
-
-def _channel_path(channel_dir: str, key: tuple) -> str:
-    store_id, component, epoch = key
-    return os.path.join(channel_dir, f"{store_id}-{component}-{epoch}.state")
-
-
-def _worker_cached_state(key: tuple, channel_dir: str) -> ComponentState:
-    """Resolve a snapshot in a worker: cache hit, or one channel fetch.
-
-    Only the newest seen epoch per (store, component) is cached — a
-    straggler task pinned to an older epoch is served from a one-off
-    fetch without displacing (or joining) the newer cached snapshot.
-    """
-    state = _WORKER_STATE_CACHE.get(key)
-    if state is not None:
-        return state
-    with open(_channel_path(channel_dir, key), "rb") as fh:
-        state = pickle.load(fh)
-    store_id, component, epoch = key
-    group = [k for k in _WORKER_STATE_CACHE
-             if k[0] == store_id and k[1] == component]
-    if any(k[2] > epoch for k in group):
-        return state
-    for stale in group:
-        del _WORKER_STATE_CACHE[stale]
-    _WORKER_STATE_CACHE[key] = state
-    return state
-
-
-def _run_persistent_task(blob: bytes, channel_dir: str) -> ComponentOutcome:
-    """Worker entry: resolve the detached ref from the cache, then run.
-
-    Inline state wins over the ref, mirroring
-    :meth:`ComponentTask.resolve_state` — a task that was materialised
-    by an earlier pickling carries its snapshot inline plus a detached
-    ref that was never published to this backend's channel.
-    """
-    task: ComponentTask = pickle.loads(blob)
-    ref = task.state_ref
-    if ref is not None and task.partition is None and task.synopsis is None:
-        rec = _task_recorder(task)
-        if rec is None:
-            state = _worker_cached_state(ref.key, channel_dir)
-        else:
-            with rec.span("state.fetch", component=task.component,
-                          epoch=ref.epoch, channel="persistent",
-                          cached=ref.key in _WORKER_STATE_CACHE):
-                state = _worker_cached_state(ref.key, channel_dir)
-        task = replace(task, partition=state.partition,
-                       synopsis=state.synopsis, state_ref=None)
-        outcome = run_component_task(task)
-        outcome.report.state_epoch = ref.epoch
-        if rec is not None:
-            outcome.spans = tuple(rec.spans) + tuple(outcome.spans or ())
-        return outcome
-    return run_component_task(task)
-
-
-def _run_persistent_batch(blob: bytes, channel_dir: str) -> list[ComponentOutcome]:
-    """Worker entry: resolve each detached ref once, run as one batch.
-
-    Every task in a coalesced batch shares one ``(store, component,
-    epoch)`` key, so the cache lookup returns the same snapshot object
-    for all of them — :func:`run_component_batch` then groups the whole
-    batch into a single vectorized stage-1 pass.  The detached ref stays
-    on the task so the batch runner stamps ``state_epoch``.
-    """
-    tasks: list[ComponentTask] = pickle.loads(blob)
-    resolved = []
-    for task in tasks:
-        ref = task.state_ref
-        if ref is not None and task.partition is None \
-                and task.synopsis is None:
-            state = _worker_cached_state(ref.key, channel_dir)
-            resolved.append(replace(task, partition=state.partition,
-                                    synopsis=state.synopsis))
-        else:
-            resolved.append(task)
-    return run_component_batch(resolved)
-
-
-def _probe_worker_cache() -> list[tuple]:
-    """Worker entry: this worker's cached snapshot keys (test/debug)."""
-    return sorted(_WORKER_STATE_CACHE)
-
-
-class PersistentProcessBackend(ExecutionBackend):
-    """Long-lived worker processes with per-epoch snapshot caching.
-
-    The vanilla process pool re-pickles each component's ``(partition,
-    synopsis)`` snapshot into every task, so state-distribution cost
-    scales with *request* rate.  This backend inverts that: state moves
-    through a shared distribution channel (a spill directory holding one
-    pickled snapshot per ``(store, component, epoch)``), published
-    **once per epoch** on first use; per task only the task's
-    request-plane fields plus a detached
-    :class:`~repro.core.state.StateRef` travel.  Workers cache fetched
-    snapshots by epoch — at most one channel read per epoch per worker —
-    and evict superseded epochs on insert, mirroring copy-on-swap
-    worker-side.
-
-    Parent-side, a published epoch stays in the channel while tasks
-    referencing it are outstanding (refcounted) and is removed once it
-    is both superseded and drained, so in-flight requests stay pinned to
-    their dispatch-time epoch across concurrent updates while the
-    channel stays bounded.
-
-    :meth:`payload_counters` separates the two flows: ``task_bytes``
-    (per request, small) vs ``state_bytes`` (per epoch, large) — the
-    O(updates)-not-O(requests) claim, measured.
-    """
-
-    name = "persistent"
-
-    def __init__(self, max_workers: int | None = None,
-                 start_method: str | None = None):
-        self.max_workers = max_workers
-        self.start_method = start_method
-        self._pool: ProcessPoolExecutor | None = None
-        self._channel_dir: str | None = None
-        self._lock = threading.Lock()
-        # (store_id, component) -> {epoch currently in the channel}.
-        self._published: dict[tuple, set[int]] = {}
-        self._outstanding: dict[tuple, int] = {}   # key -> in-flight tasks
-        self._superseded: set[tuple] = set()
-        self._task_bytes = self.metrics.counter("task_bytes")
-        self._tasks_shipped = self.metrics.counter("tasks_shipped")
-        self._state_bytes = self.metrics.counter("state_bytes")
-        self._state_publishes = self.metrics.counter("state_publishes")
-
-    # -- channel management (parent side) -------------------------------
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        with self._lock:
-            if self._pool is None:
-                self._channel_dir = tempfile.mkdtemp(
-                    prefix="repro-state-plane-")
-                self._pool = ProcessPoolExecutor(
-                    max_workers=self.max_workers,
-                    mp_context=_preferred_mp_context(self.start_method))
-            return self._pool
-
-    def _ensure_published_locked(self, ref: StateRef) -> None:
-        """Publish ``ref``'s snapshot to the channel (at most once/epoch).
-
-        A straggler ref may *re*-publish an epoch older than the
-        newest already in the channel (its file was evicted after
-        draining); supersession is therefore computed against the
-        newest published epoch, in both directions, so every non-newest
-        epoch is evicted again the moment it drains.
-        """
-        group = (ref.store_id, ref.component)
-        epochs = self._published.setdefault(group, set())
-        if ref.epoch not in epochs:
-            blob = pickle.dumps(ref.resolve())
-            with open(_channel_path(self._channel_dir, ref.key), "wb") as fh:
-                fh.write(blob)
-            self._state_bytes.inc(len(blob))
-            self._state_publishes.inc()
-            epochs.add(ref.epoch)
-        newest = max(epochs)
-        for epoch in list(epochs):
-            if epoch < newest:
-                self._mark_superseded_locked((ref.store_id, ref.component,
-                                              epoch))
-
-    def _mark_superseded_locked(self, key: tuple) -> None:
-        self._superseded.add(key)
-        self._maybe_evict_locked(key)
-
-    def _maybe_evict_locked(self, key: tuple) -> None:
-        """Drop a superseded, drained epoch from the channel."""
-        if key in self._superseded and self._outstanding.get(key, 0) == 0:
-            self._superseded.discard(key)
-            self._published.get((key[0], key[1]), set()).discard(key[2])
-            try:
-                os.unlink(_channel_path(self._channel_dir, key))
-            except OSError:
-                pass
-
-    def _task_done(self, key: tuple, count: int = 1):
-        def callback(_future) -> None:
-            with self._lock:
-                self._outstanding[key] = \
-                    self._outstanding.get(key, count) - count
-                if self._outstanding[key] <= 0:
-                    del self._outstanding[key]
-                self._maybe_evict_locked(key)
-
-        return callback
-
-    def published_epochs(self, store_id: str, component: int) -> list[int]:
-        """Epochs currently in the distribution channel (test/debug)."""
-        with self._lock:
-            return sorted(self._published.get((store_id, component), set()))
-
-    def probe_worker_cache(self) -> list[tuple]:
-        """One worker's cached snapshot keys (test/debug helper).
-
-        With ``max_workers=1`` this observes *the* worker's cache;
-        with more workers it samples whichever worker takes the probe.
-        """
-        return self._ensure_pool().submit(_probe_worker_cache).result()
-
-    # -- ExecutionBackend ------------------------------------------------
-
-    def _submit_plain(self, task: ComponentTask) -> "Future[ComponentOutcome]":
-        pool = self._ensure_pool()
-        ref = task.state_ref
-        if ref is not None and (ref.store is not None
-                                or ref.pinned is not None):
-            with self._lock:
-                # Outstanding first: publishing may immediately mark
-                # this very epoch superseded (straggler re-publish),
-                # and eviction must wait for this task to drain.
-                self._outstanding[ref.key] = \
-                    self._outstanding.get(ref.key, 0) + 1
-                self._ensure_published_locked(ref)
-            blob = pickle.dumps(replace(task, state_ref=ref.detached()))
-            self._task_bytes.inc(len(blob))
-            self._tasks_shipped.inc()
-            future = pool.submit(_run_persistent_task, blob,
-                                 self._channel_dir)
-            future.add_done_callback(self._task_done(ref.key))
-            return future
-        if ref is not None and task.partition is None \
-                and task.synopsis is None:
-            # A detached ref without inline state only resolves if its
-            # epoch is (still) in the channel; reject an unpublished one
-            # here with the in-process backends' descriptive error
-            # rather than a raw FileNotFoundError inside a worker.
-            with self._lock:
-                published = ref.epoch in self._published.get(
-                    (ref.store_id, ref.component), set())
-                if published:
-                    self._outstanding[ref.key] = \
-                        self._outstanding.get(ref.key, 0) + 1
-            if not published:
-                raise StaleEpochError(
-                    f"detached ref {ref.key} references an epoch not in "
-                    "this backend's channel; submit the task with its "
-                    "live (pinned) ref instead")
-            blob = pickle.dumps(task)
-            self._task_bytes.inc(len(blob))
-            self._tasks_shipped.inc()
-            future = pool.submit(_run_persistent_task, blob,
-                                 self._channel_dir)
-            future.add_done_callback(self._task_done(ref.key))
-            return future
-        # Inline-state task: ship it whole, like the vanilla pool —
-        # there is no unshipped state to amortise.
-        blob = pickle.dumps(task)
-        self._task_bytes.inc(len(blob))
-        self._tasks_shipped.inc()
-        return pool.submit(_run_persistent_task, blob, self._channel_dir)
-
-    def submit_batch(self, tasks: Sequence[ComponentTask]) -> list[Future]:
-        tasks = list(tasks)
-        if len(tasks) <= 1:
-            return [self.submit_task(t) for t in tasks]
-        refs = [t.state_ref for t in tasks]
-        live_same_key = (
-            all(r is not None and (r.store is not None
-                                   or r.pinned is not None) for r in refs)
-            and len({r.key for r in refs}) == 1)
-        if not live_same_key:
-            # Mixed epochs / inline state: no shared snapshot to
-            # amortise as one unit — degrade to per-task submission.
-            return [self.submit_task(t) for t in tasks]
-        ref = refs[0]
-        pool = self._ensure_pool()
-        with self._lock:
-            # Outstanding first, as in submit_task: eviction of this
-            # epoch must wait for the whole batch to drain.
-            self._outstanding[ref.key] = \
-                self._outstanding.get(ref.key, 0) + len(tasks)
-            self._ensure_published_locked(ref)
-        blob = pickle.dumps([replace(t, state_ref=t.state_ref.detached())
-                             for t in tasks])
-        self._task_bytes.inc(len(blob))
-        self._tasks_shipped.inc(len(tasks))
-        batch = pool.submit(_run_persistent_batch, blob, self._channel_dir)
-        batch.add_done_callback(self._task_done(ref.key, len(tasks)))
-        return _scatter_batch_future(batch, len(tasks))
-
-    def close(self) -> None:
-        with self._lock:
-            pool, channel = self._pool, self._channel_dir
-            self._pool = self._channel_dir = None
-            self._published.clear()
-            self._outstanding.clear()
-            self._superseded.clear()
-        if pool is not None:
-            pool.shutdown(wait=True)
-        if channel is not None:
-            shutil.rmtree(channel, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1126,8 +696,6 @@ class BatchingBackend(ExecutionBackend):
 _BACKENDS = {
     "sequential": SequentialBackend,
     "thread": ThreadPoolBackend,
-    "process": ProcessPoolBackend,
-    "persistent": PersistentProcessBackend,
 }
 
 
@@ -1135,10 +703,9 @@ def resolve_backend(backend) -> ExecutionBackend:
     """Coerce ``backend`` (instance, name, or ``None``) to a backend.
 
     ``None`` means :class:`SequentialBackend`; strings name one of
-    ``"sequential"``, ``"thread"``, ``"process"``, ``"persistent"``,
-    ``"async"`` (the event-loop backend from :mod:`repro.serving.aio`),
-    or ``"remote"`` (the socket backend from
-    :mod:`repro.serving.transport`).
+    ``"sequential"``, ``"thread"``, ``"async"`` (the event-loop backend
+    from :mod:`repro.serving.aio`), or ``"remote"`` (the socket backend
+    from :mod:`repro.serving.transport`).
     """
     if backend is None:
         return SequentialBackend()

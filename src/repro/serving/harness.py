@@ -145,11 +145,10 @@ def apply_payload_delta(stats: "ServingRunStats", backend,
     """Fill ``stats``' payload-bytes fields with this run's deltas.
 
     Shared by the thread and async harnesses: ``before`` is the
-    :func:`collect_payload_counters` snapshot taken at run start.  This
-    is what makes the process pool's per-task state pickling *visible*:
-    ``task_bytes`` grows with request rate on the vanilla process
-    backend but stays near-flat on the persistent backend, whose
-    ``state_bytes`` grows with update (epoch) rate instead.
+    :func:`collect_payload_counters` snapshot taken at run start.  On
+    the remote backend ``task_bytes`` grows with request rate (small
+    frames holding detached refs) while ``state_bytes`` grows with
+    update (epoch) rate.
     """
     after = collect_payload_counters(backend)
     if before is not None and after is not None:
@@ -243,12 +242,11 @@ class ServingRunStats:
         harness's backend, collected via
         :func:`collect_payload_counters`; zero for in-process backends,
         which move references, not bytes).  ``task_bytes`` is what
-        crossed the process boundary *per task* — on the vanilla
-        process pool this embeds each task's state snapshot, the
-        O(requests) distribution cost; ``state_bytes`` counts
-        snapshots shipped separately once per epoch — the persistent
-        backend's O(updates) cost.  :meth:`bytes_per_request` combines
-        them for before/after comparisons.
+        crossed the process boundary *per task* (a detached ref, not
+        state); ``state_bytes`` counts snapshots and deltas shipped
+        separately once per epoch — the remote backend's O(updates)
+        cost.  :meth:`bytes_per_request` combines them for
+        before/after comparisons.
     """
 
     sub_latencies: np.ndarray
@@ -369,9 +367,8 @@ class ServingRunStats:
         """Serialized payload bytes shipped per served request.
 
         Task payloads plus separately-shipped state, averaged over the
-        run — the headline state-distribution number: O(state size) per
-        request on the vanilla process pool vs O(ref size) plus the
-        amortised per-epoch state cost on the persistent backend.
+        run — the headline state-distribution number: O(ref size) plus
+        the amortised per-epoch state cost on the remote backend.
         """
         if self.n_requests == 0:
             return 0.0

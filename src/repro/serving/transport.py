@@ -1,11 +1,11 @@
 """Socket transport: remote components and a wire state plane.
 
-Everything below PR 5 runs in one process tree: shard replicas are
-objects, the state plane is a spill directory, and "shipping" a task
-means pickling it into a :mod:`concurrent.futures` pool.  This module
-moves both planes onto TCP sockets on localhost so replicas run as
+In-process serving keeps shard replicas as objects and moves state by
+reference.  This module moves both the request plane and the state
+plane onto TCP sockets on localhost, so replicas and workers run as
 separate processes behind the same :class:`~repro.core.servable.
-Servable` protocol:
+Servable` and :class:`~repro.serving.backends.ExecutionBackend`
+protocols:
 
 - **Framing** — every message is one length-prefixed frame: a fixed
   header (magic, wire version, kind, message id, payload length)
@@ -22,19 +22,19 @@ Servable` protocol:
   tasks carry a submit hook that ships one shard copy's components as
   **one** pipelined frame: a router's fan-out is a scatter-gather.
 
-- **State plane** — :class:`RemoteBackend` is the socket analogue of
-  :class:`~repro.serving.backends.PersistentProcessBackend`: worker
-  processes connect back over TCP, state snapshots are published
-  **once per epoch per worker** as explicit frames, and per task only
-  a detached :class:`~repro.core.state.StateRef` travels.  On an
-  epoch-to-epoch transition the parent ships the smallest of three
-  encodings: a *semantic* delta (only the groups the updater
-  re-aggregated, via :func:`~repro.core.state.compute_semantic_delta`
-  when the store recorded an :class:`~repro.core.state.UpdateHint`), a
-  content-defined *CDC* byte delta (:func:`~repro.core.state.
-  compute_delta`), or the full snapshot — so state traffic scales
-  with **update size**, not synopsis size.  Whole-blob checksums on
-  apply keep reconstruction bit-identical or loudly failed.
+- **State plane** — :class:`RemoteBackend` is the one out-of-process
+  execution backend: worker processes connect back over TCP, state
+  snapshots are published **once per epoch per worker** as explicit
+  frames, and per task only a detached :class:`~repro.core.state.
+  StateRef` travels.  On an epoch-to-epoch transition the parent ships
+  the smallest of three encodings: a *semantic* delta (only the groups
+  the updater re-aggregated, via
+  :func:`~repro.core.state.compute_semantic_delta` when the store
+  recorded an :class:`~repro.core.state.UpdateHint`), a content-defined
+  *CDC* byte delta (:func:`~repro.core.state.compute_delta`), or the
+  full snapshot — so state traffic scales with **update size**, not
+  synopsis size.  Whole-blob checksums on apply keep reconstruction
+  bit-identical or loudly failed.
 
 - **Multiplexing** — both planes pipeline: any number of RPCs can be
   in flight per socket, correlated by the header's ``msg_id``, with a
@@ -88,8 +88,7 @@ from repro.core.state import (PICKLE_PROTOCOL, StaleEpochError, apply_delta,
                               apply_semantic_delta, blob_digest,
                               compute_delta, compute_semantic_delta)
 from repro.serving.backends import (ComponentOutcome, ComponentTask,
-                                    ExecutionBackend, _preferred_mp_context,
-                                    _scatter_batch_future,
+                                    ExecutionBackend, _scatter_batch_future,
                                     run_component_batch, run_component_task)
 from repro.serving.telemetry import get_tracer, trace_context_of
 
@@ -284,6 +283,23 @@ def connect_with_retry(host: str, port: int, retries: int = 40,
     raise ConnectionError(
         f"could not connect to {host}:{port} after {retries} attempts"
     ) from last
+
+
+def _preferred_mp_context(start_method: str | None):
+    """A multiprocessing context preferring ``forkserver``.
+
+    Pools may be created lazily from a harness worker thread, and
+    forking an already-multithreaded process can inherit held locks
+    (deprecated in Python 3.12+); forkserver forks from a clean helper
+    process instead.
+    """
+    import multiprocessing as mp
+
+    method = start_method
+    if method is None:
+        available = mp.get_all_start_methods()
+        method = "forkserver" if "forkserver" in available else None
+    return mp.get_context(method) if method is not None else None
 
 
 def _error_payload(exc: BaseException) -> tuple[str, str, str]:
@@ -1085,13 +1101,11 @@ _SEMANTIC_MISS = object()
 class RemoteBackend(ExecutionBackend):
     """Socket execution backend: workers over TCP, state as delta epochs.
 
-    The wire analogue of :class:`~repro.serving.backends.
-    PersistentProcessBackend`: worker processes connect back over
-    localhost TCP, each task travels as a small frame holding a
-    detached :class:`~repro.core.state.StateRef`, and snapshots are
-    published out-of-band at most once per epoch per worker.  The new
-    part is *how* an epoch travels: on an epoch-to-epoch transition the
-    parent picks the smallest of three encodings — a **semantic**
+    Worker processes connect back over localhost TCP, each task travels
+    as a small frame holding a detached :class:`~repro.core.state.
+    StateRef`, and snapshots are published out-of-band at most once per
+    epoch per worker.  On an epoch-to-epoch transition the parent
+    picks the smallest of three encodings — a **semantic**
     delta carrying only the re-aggregated group vectors (when the
     store recorded an :class:`~repro.core.state.UpdateHint` for the
     transition), a content-defined **CDC** byte delta

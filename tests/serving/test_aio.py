@@ -156,6 +156,35 @@ class TestAsyncBackendParity:
             AsyncExecutionBackend(cancel_grace=0.0)
 
 
+class TestAsyncRefineCalls:
+    """The async kernel counts one refine call per ``arefine``."""
+
+    def test_refine_calls_match_groups_processed(self, cf_adapter, cf_parts,
+                                                 cf_loadgen):
+        from repro.serving.envelope import as_envelope
+        from repro.serving.telemetry import Tracer, use_tracer
+
+        stall = AsyncStallAdapter(cf_adapter, synopsis_stall=0.0,
+                                  group_stall=0.0)
+        svc = AccuracyTraderService(stall, cf_parts[0:2], config=CF_CONFIG)
+        request = cf_loadgen.request_factory(0, np.random.default_rng(0))
+        tracer = Tracer()
+        with use_tracer(tracer), AsyncExecutionBackend() as backend:
+            resp = svc.serve(as_envelope(request, 0.05),
+                             clocks=sim_clocks(2), backend=backend)
+        svc.close()
+        assert all(r.groups_processed > 0 and
+                   r.refine_calls == r.groups_processed
+                   for r in resp.reports)
+        (trace_id,) = tracer.trace_ids()
+        tags = [s.tags for s in tracer.spans_of(trace_id)
+                if s.name == "kernel"]
+        assert sorted((t["groups_processed"], t["refine_calls"])
+                      for t in tags) == \
+            sorted((r.groups_processed, r.refine_calls)
+                   for r in resp.reports)
+
+
 class TestDeadlineCancellation:
     """cancel_grace interrupts a stalled refinement mid-await."""
 

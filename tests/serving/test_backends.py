@@ -1,11 +1,11 @@
 """Backend parity: parallel execution must not change a single bit.
 
 The whole point of pluggable backends is that execution *placement* is
-orthogonal to the algorithm: thread- and process-pool backends must
-return bit-identical merged answers and equivalent per-component
-``ProcessingReport`` traces to the sequential reference, for both paper
-services.  Simulated clocks make the traces deterministic, so equality is
-exact, not approximate.
+orthogonal to the algorithm: thread-pool and worker-process (remote)
+backends must return bit-identical merged answers and equivalent
+per-component ``ProcessingReport`` traces to the sequential reference,
+for both paper services.  Simulated clocks make the traces
+deterministic, so equality is exact, not approximate.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import pytest
 from repro.core.clock import SimulatedClock
 from repro.serving.backends import (
     ComponentTask,
-    ProcessPoolBackend,
     SequentialBackend,
     ThreadPoolBackend,
     resolve_backend,
     run_component_task,
 )
+from repro.serving.transport import RemoteBackend
 from tests.helpers import process
 
 DEADLINE = 0.05
@@ -41,10 +41,11 @@ def report_key(report):
 
 @pytest.fixture(scope="module", params=["thread", "process"])
 def parallel_backend(request):
+    # "process": worker processes, the remote backend over localhost TCP.
     if request.param == "thread":
         backend = ThreadPoolBackend(max_workers=4)
     else:
-        backend = ProcessPoolBackend(max_workers=2)
+        backend = RemoteBackend(n_workers=2)
     yield backend
     backend.close()
 
@@ -117,7 +118,10 @@ class TestBackendMechanics:
         assert resolve_backend(None).name == "sequential"
         assert resolve_backend("sequential").name == "sequential"
         assert resolve_backend("thread").name == "thread"
-        assert resolve_backend("process").name == "process"
+        assert resolve_backend("remote").name == "remote"
+        for removed in ("process", "persistent"):
+            with pytest.raises(ValueError):
+                resolve_backend(removed)
         seq = SequentialBackend()
         assert resolve_backend(seq) is seq
         with pytest.raises(ValueError):

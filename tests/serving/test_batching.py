@@ -19,12 +19,11 @@ from repro.core.clock import SimulatedClock
 from repro.serving.aio import AsyncExecutionBackend
 from repro.serving.backends import (
     BatchingBackend,
-    PersistentProcessBackend,
-    ProcessPoolBackend,
     SequentialBackend,
     ThreadPoolBackend,
 )
 from repro.serving.envelope import as_envelope
+from repro.serving.transport import RemoteBackend
 
 DEADLINE = 0.05
 SPEED = 400.0   # work units / s: tight enough that the deadline bites
@@ -66,14 +65,13 @@ def serve_all(service, envelopes, backend):
 
 
 @pytest.fixture(scope="module",
-                params=["sequential", "thread", "process", "persistent",
-                        "async"])
+                params=["sequential", "thread", "process", "async"])
 def inner_backend(request):
     backend = {
         "sequential": SequentialBackend,
         "thread": lambda: ThreadPoolBackend(max_workers=4),
-        "process": lambda: ProcessPoolBackend(max_workers=2),
-        "persistent": lambda: PersistentProcessBackend(max_workers=2),
+        # Worker processes: the remote backend over localhost TCP.
+        "process": lambda: RemoteBackend(n_workers=2),
         "async": AsyncExecutionBackend,
     }[request.param]()
     yield backend

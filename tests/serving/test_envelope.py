@@ -5,7 +5,7 @@ Two layers of pinning:
 - the envelope types themselves (monotonic ids, class coercion,
   priority defaults, immutability, deadline resolution);
 - the serving guarantee: every ``Servable`` implementation answers
-  **bit-identically** through the envelope path across all five
+  **bit-identically** through the envelope path across all four
   execution backends, and reports carry the envelope's identity end to
   end (including across a process boundary).  The legacy positional
   ``process`` / ``aprocess`` shims finished their deprecation cycle
@@ -22,12 +22,7 @@ import pytest
 from repro.core.builder import SynopsisConfig
 from repro.core.clock import SimulatedClock
 from repro.core.service import AccuracyTraderService
-from repro.serving.backends import (
-    PersistentProcessBackend,
-    ProcessPoolBackend,
-    SequentialBackend,
-    ThreadPoolBackend,
-)
+from repro.serving.backends import SequentialBackend, ThreadPoolBackend
 from repro.serving.envelope import (
     RequestClass,
     ServingRequest,
@@ -36,6 +31,7 @@ from repro.serving.envelope import (
     payload_of,
 )
 from repro.serving.router import ReplicaGroup, ShardedService
+from repro.serving.transport import RemoteBackend
 from repro.workloads.partitioning import split_ratings
 
 DEADLINE = 0.05
@@ -181,7 +177,7 @@ class TestServingResponse:
 # ---------------------------------------------------------------------------
 
 
-BACKENDS = ["sequential", "thread", "process", "persistent", "async"]
+BACKENDS = ["sequential", "thread", "process", "async"]
 
 
 @pytest.fixture(scope="module", params=BACKENDS)
@@ -191,9 +187,8 @@ def any_backend(request):
     elif request.param == "thread":
         backend = ThreadPoolBackend(max_workers=4)
     elif request.param == "process":
-        backend = ProcessPoolBackend(max_workers=2)
-    elif request.param == "persistent":
-        backend = PersistentProcessBackend(max_workers=2)
+        # Worker processes: the remote backend over localhost TCP.
+        backend = RemoteBackend(n_workers=2)
     else:
         from repro.serving.aio import AsyncExecutionBackend
 
@@ -208,7 +203,7 @@ def answers_equal(a, b) -> bool:
 
 
 class TestEnvelopeBackendIdentity:
-    """The envelope path answers bit-identically on all five backends."""
+    """The envelope path answers bit-identically on all four backends."""
 
     def test_single_service(self, cf_serving_service, cf_request,
                             any_backend):
@@ -329,7 +324,7 @@ class TestEnvelopeAcrossProcessBoundary:
             config=CF_CONFIG)
         env = ServingRequest(payload=cf_request, deadline=DEADLINE,
                              request_class="best_effort")
-        with svc, ProcessPoolBackend(max_workers=2) as backend:
+        with svc, RemoteBackend(n_workers=2) as backend:
             resp = svc.serve(env, clocks=sim_clocks(2), backend=backend)
         for report in resp.reports:
             assert report.request_id == env.request_id

@@ -371,8 +371,9 @@ class CountingBackend(SequentialBackend):
     """Sequential execution that keeps real payload counters.
 
     Stands in for a remote backend in routing tests: every task is
-    pickled (as the wire would) and counted, so a run whose counters
-    stay at zero provably never dispatched through this backend.
+    pickled with its ref detached (as the wire would) and counted, so a
+    run whose counters stay at zero provably never dispatched through
+    this backend.
     """
 
     def __init__(self):
@@ -382,10 +383,12 @@ class CountingBackend(SequentialBackend):
 
     def run_tasks(self, tasks):
         import pickle
+        from dataclasses import replace
 
         tasks = list(tasks)
         for task in tasks:
-            self._task_bytes += len(pickle.dumps(task))
+            wire = replace(task, state_ref=task.state_ref.detached())
+            self._task_bytes += len(pickle.dumps(wire))
             self._tasks_shipped += 1
         return super().run_tasks(tasks)
 

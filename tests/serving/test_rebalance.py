@@ -11,7 +11,7 @@ The acceptance contract pinned here:
 - the post-move cluster is bit-identical to one built cold over the
   new component map (no state drift from incremental moves), for both
   paper workloads;
-- answers after a rebalance are bit-identical across all five
+- answers after a rebalance are bit-identical across all four
   execution backends;
 - updates route to a moved record's new home;
 - a rejected rebalance (no map, emptied component) leaves the cluster
@@ -154,7 +154,7 @@ class TestShardedRebalance:
         cf_cluster.rebalance({0: 1})
         base, _ = process(cf_cluster, cf_req, DEADLINE, clocks=clocks(4),
                                      backend=SequentialBackend())
-        for name in ("thread", "process", "persistent", "async"):
+        for name in ("thread", "remote", "async"):
             with resolve_backend(name) as backend:
                 ans, _ = process(cf_cluster, cf_req, DEADLINE,
                                             clocks=clocks(4),

@@ -5,14 +5,12 @@ The contracts pinned here:
 - tasks reference state by ``(component, epoch)`` and every backend
   resolves the *dispatch-time* epoch — an in-flight request never
   observes a concurrent ``change_points`` (no torn reads);
-- the persistent process backend ships each snapshot at most once per
-  epoch (amortised state distribution), its workers cache by epoch and
-  evict superseded epochs, and the parent channel drops epochs that are
-  both superseded and drained;
-- the per-task serialized payload cost is measured: the vanilla process
-  pool embeds state per task, the persistent backend does not;
-- CF answers are bit-identical across sequential / thread / process /
-  persistent / async backends over the same snapshots and clocks.
+- a task holding a live ref never pickles, so no path copies a
+  snapshot into a task payload by accident;
+- the harness reports the remote backend's serialized payload bytes
+  per request;
+- CF answers are bit-identical across sequential / thread / remote /
+  async / batching backends over the same snapshots and clocks.
 """
 
 from __future__ import annotations
@@ -23,12 +21,12 @@ from repro.core.builder import SynopsisConfig
 from repro.core.clock import SimulatedClock
 from repro.core.service import AccuracyTraderService
 from repro.serving.backends import (
-    PersistentProcessBackend,
-    ProcessPoolBackend,
+    BatchingBackend,
     SequentialBackend,
     ThreadPoolBackend,
     resolve_backend,
 )
+from repro.serving.transport import RemoteBackend
 from repro.workloads.partitioning import split_ratings
 from tests.helpers import process
 
@@ -89,6 +87,21 @@ class TestEpochPinning:
         assert [r.state_epoch for r in reps] == \
             [cf_service.component_epoch(c) for c in range(2)]
 
+    def test_live_ref_task_does_not_pickle(self, cf_service, cf_request):
+        # Pickling never copies a snapshot into a task: a live ref holds
+        # its store, whose lock refuses to pickle.  Only a detached ref
+        # (the remote backend's wire form) crosses a process boundary.
+        import pickle
+        from dataclasses import replace
+
+        task = cf_service.build_tasks(cf_request, DEADLINE, clocks(2))[0]
+        with pytest.raises(TypeError, match="lock"):
+            pickle.dumps(task)
+        wire = pickle.loads(pickle.dumps(
+            replace(task, state_ref=task.state_ref.detached())))
+        assert wire.partition is None and wire.synopsis is None
+        assert wire.state_ref == task.state_ref
+
 
 class TestBackendParityAcrossEpochs:
     def test_all_five_backends_bit_identical(self, cf_service, cf_request):
@@ -96,160 +109,17 @@ class TestBackendParityAcrossEpochs:
         cf_service.change_points(0, cf_service.partitions[0], [0])
         base, _ = process(cf_service, cf_request, DEADLINE, clocks=clocks(2),
                                      backend=SequentialBackend())
-        for name in ("thread", "process", "persistent", "async"):
-            with resolve_backend(name) as backend:
+        for backend in (ThreadPoolBackend(), RemoteBackend(n_workers=2),
+                        resolve_backend("async"),
+                        BatchingBackend(ThreadPoolBackend(),
+                                        close_inner=True)):
+            with backend:
                 ans, reps = process(cf_service, cf_request, DEADLINE,
                                                clocks=clocks(2),
                                                backend=backend)
                 assert_cf_equal(ans, base)
                 assert [r.state_epoch for r in reps] == \
                     [cf_service.component_epoch(c) for c in range(2)]
-
-
-class TestPersistentBackend:
-    def test_state_ships_once_per_epoch_not_per_task(self, cf_service,
-                                                     cf_request):
-        with PersistentProcessBackend(max_workers=1) as backend:
-            for _ in range(4):
-                process(cf_service, cf_request, DEADLINE, clocks=clocks(2),
-                                   backend=backend)
-            counters = backend.payload_counters()
-            assert counters["tasks_shipped"] == 8
-            assert counters["state_publishes"] == 2  # one per component
-            state_bytes_before = counters["state_bytes"]
-            # An update publishes exactly one more snapshot...
-            cf_service.change_points(0, cf_service.partitions[0], [0])
-            for _ in range(3):
-                process(cf_service, cf_request, DEADLINE, clocks=clocks(2),
-                                   backend=backend)
-            counters = backend.payload_counters()
-            assert counters["state_publishes"] == 3
-            assert counters["state_bytes"] > state_bytes_before
-
-    def test_task_payload_excludes_state(self, cf_service, cf_request):
-        with ProcessPoolBackend(max_workers=1) as vanilla, \
-                PersistentProcessBackend(max_workers=1) as persistent:
-            base, _ = process(cf_service, cf_request, DEADLINE,
-                                         clocks=clocks(2), backend=vanilla)
-            ans, _ = process(cf_service, cf_request, DEADLINE,
-                                        clocks=clocks(2), backend=persistent)
-            assert_cf_equal(ans, base)
-            per_task_vanilla = (vanilla.payload_counters()["task_bytes"]
-                                / vanilla.payload_counters()["tasks_shipped"])
-            p = persistent.payload_counters()
-            per_task_persistent = p["task_bytes"] / p["tasks_shipped"]
-            # The vanilla pool embeds the (partition, synopsis) snapshot
-            # in every task; the persistent one ships a detached ref.
-            assert per_task_persistent < per_task_vanilla / 3
-
-    def test_worker_cache_evicts_superseded_epochs(self, cf_service,
-                                                   cf_request):
-        with PersistentProcessBackend(max_workers=1) as backend:
-            process(cf_service, cf_request, DEADLINE, clocks=clocks(2),
-                               backend=backend)
-            e_old = cf_service.component_epoch(0)
-            cf_service.change_points(0, cf_service.partitions[0], [0])
-            e_new = cf_service.component_epoch(0)
-            process(cf_service, cf_request, DEADLINE, clocks=clocks(2),
-                               backend=backend)
-            cached = backend.probe_worker_cache()
-            epochs_comp0 = [k[2] for k in cached if k[1] == 0]
-            assert epochs_comp0 == [e_new]
-            assert e_old not in epochs_comp0
-
-    def test_channel_drops_superseded_drained_epochs(self, cf_service,
-                                                     cf_request):
-        with PersistentProcessBackend(max_workers=1) as backend:
-            process(cf_service, cf_request, DEADLINE, clocks=clocks(2),
-                               backend=backend)
-            store_id = cf_service.store.store_id
-            e_old = cf_service.component_epoch(0)
-            assert backend.published_epochs(store_id, 0) == [e_old]
-            cf_service.change_points(0, cf_service.partitions[0], [0])
-            process(cf_service, cf_request, DEADLINE, clocks=clocks(2),
-                               backend=backend)
-            # The old epoch is superseded and drained: evicted.
-            assert backend.published_epochs(store_id, 0) == \
-                [cf_service.component_epoch(0)]
-
-    def test_straggler_republish_evicted_after_drain(self, cf_service,
-                                                     cf_request):
-        # A task pinned to an already-evicted epoch re-publishes it; the
-        # re-published (still superseded) epoch must be evicted again
-        # once the straggler drains, and must not displace the newest
-        # epoch from the worker cache.
-        with PersistentProcessBackend(max_workers=1) as backend:
-            store_id = cf_service.store.store_id
-            straggler = cf_service.build_tasks(cf_request, DEADLINE,
-                                               clocks(2))
-            e_old = straggler[0].state_ref.epoch
-            cf_service.change_points(0, cf_service.partitions[0], [0])
-            e_new = cf_service.component_epoch(0)
-            process(cf_service, cf_request, DEADLINE, clocks=clocks(2),
-                               backend=backend)
-            assert backend.published_epochs(store_id, 0) == [e_new]
-            outcomes = backend.run_tasks(straggler)
-            assert outcomes[0].report.state_epoch == e_old  # pinned
-            # Channel: the straggler's epoch drained and is gone again.
-            assert backend.published_epochs(store_id, 0) == [e_new]
-            # Worker cache: still exactly the newest epoch.
-            assert [k[2] for k in backend.probe_worker_cache()
-                    if k[1] == 0] == [e_new]
-
-    def test_materialised_task_runs_without_channel(self, cf_service,
-                                                    cf_request):
-        # A task that crossed a process boundary once carries its state
-        # inline plus a detached ref that was never published to this
-        # backend's channel: inline state must win (regression — the
-        # worker used to resolve via the channel and crash).
-        import pickle
-
-        task = cf_service.build_tasks(cf_request, DEADLINE, clocks(2))[0]
-        materialised = pickle.loads(pickle.dumps(task))
-        assert materialised.partition is not None
-        assert materialised.state_ref is not None  # detached epoch identity
-        base = SequentialBackend().run_tasks([task])[0]
-        with PersistentProcessBackend(max_workers=1) as backend:
-            outcome = backend.run_tasks([materialised])[0]
-        assert_cf_equal(outcome.result, base.result)
-        assert outcome.report.state_epoch == base.report.state_epoch
-
-    def test_detached_ref_rejected_unless_published(self, cf_service,
-                                                    cf_request):
-        from dataclasses import replace
-
-        from repro.core.state import StaleEpochError
-
-        with PersistentProcessBackend(max_workers=1) as backend:
-            task = cf_service.build_tasks(cf_request, DEADLINE, clocks(2))[0]
-            bare = replace(task, state_ref=task.state_ref.detached())
-            # Never published to this backend: descriptive parent-side
-            # error, not a FileNotFoundError from inside a worker.
-            with pytest.raises(StaleEpochError, match="channel"):
-                backend.submit_task(bare)
-            # Once the epoch is in the channel, the same detached task
-            # resolves from the worker cache.
-            base = backend.run_tasks([task])[0]
-            outcome = backend.run_tasks([bare])[0]
-            assert_cf_equal(outcome.result, base.result)
-
-    def test_resolve_backend_knows_persistent(self):
-        backend = resolve_backend("persistent")
-        assert isinstance(backend, PersistentProcessBackend)
-        assert backend.name == "persistent"
-        backend.close()
-
-    def test_close_idempotent_and_restartable(self, cf_service, cf_request):
-        backend = PersistentProcessBackend(max_workers=1)
-        ans1, _ = process(cf_service, cf_request, DEADLINE, clocks=clocks(2),
-                                     backend=backend)
-        backend.close()
-        backend.close()
-        # A fresh pool + channel spins up lazily after close.
-        ans2, _ = process(cf_service, cf_request, DEADLINE, clocks=clocks(2),
-                                     backend=backend)
-        assert_cf_equal(ans1, ans2)
-        backend.close()
 
 
 class TestPayloadStats:
@@ -263,7 +133,7 @@ class TestPayloadStats:
         loadgen = LoadGenerator(cf_request_factory(small_ratings.matrix),
                                 seed=9)
         load = loadgen.closed_loop(n_clients=2, n_requests=6)
-        with PersistentProcessBackend(max_workers=2) as backend:
+        with RemoteBackend(n_workers=1) as backend:
             harness = ServingHarness(cf_service, deadline=DEADLINE,
                                      backend=backend)
             stats = harness.run_closed_loop(load)

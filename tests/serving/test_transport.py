@@ -28,6 +28,7 @@ import pickle
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -560,9 +561,7 @@ class TestRemoteBackend:
                                    remote_backend):
         env = as_envelope(cf_request, DEADLINE)
         task = cf_serving_service.build_tasks(env, clocks=sim_clocks(2))[0]
-        detached = pickle.loads(pickle.dumps(task))
-        detached.partition = None
-        detached.synopsis = None
+        detached = replace(task, state_ref=task.state_ref.detached())
         with pytest.raises(StaleEpochError):
             remote_backend.submit_task(detached)
 
@@ -593,6 +592,41 @@ class TestRemoteBackend:
         backend = resolve_backend("remote")
         assert isinstance(backend, RemoteBackend)
         backend.close()
+
+    def test_close_idempotent_and_restartable(self, cf_serving_service,
+                                              cf_request):
+        env = as_envelope(cf_request, DEADLINE)
+        backend = RemoteBackend(n_workers=1)
+        first = backend.run_tasks(
+            cf_serving_service.build_tasks(env, clocks=sim_clocks(2)))
+        backend.close()
+        backend.close()
+        # Fresh workers spin up lazily after close.
+        second = backend.run_tasks(
+            cf_serving_service.build_tasks(env, clocks=sim_clocks(2)))
+        backend.close()
+        for a, b in zip(first, second):
+            assert a.result.numer == b.result.numer
+            assert a.result.denom == b.result.denom
+            assert report_key(a.report) == report_key(b.report)
+
+    def test_materialised_task_runs_and_stamps_epoch(self,
+                                                     cf_serving_service,
+                                                     cf_request,
+                                                     remote_backend):
+        # Inline state plus a detached ref: the state travels with the
+        # task and the ref is kept purely as epoch identity.
+        env = as_envelope(cf_request, DEADLINE)
+        task = cf_serving_service.build_tasks(env, clocks=sim_clocks(2))[0]
+        state = task.state_ref.resolve()
+        materialised = replace(task, partition=state.partition,
+                               synopsis=state.synopsis,
+                               state_ref=task.state_ref.detached())
+        base = SequentialBackend().run_tasks([task])[0]
+        outcome = remote_backend.run_tasks([materialised])[0]
+        assert outcome.result.numer == base.result.numer
+        assert outcome.result.denom == base.result.denom
+        assert outcome.report.state_epoch == base.report.state_epoch
 
 
 @pytest.fixture(scope="module")
