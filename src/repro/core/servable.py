@@ -48,7 +48,7 @@ from typing import Any, Callable, Protocol, runtime_checkable
 
 from repro.core.adapters import CFAdapter, SearchAdapter
 
-__all__ = ["Servable", "unwrap_adapter", "default_merge"]
+__all__ = ["Servable", "unwrap_adapter", "default_merge", "merge_outcomes"]
 
 
 @runtime_checkable
@@ -141,3 +141,17 @@ def default_merge(adapter) -> Callable:
 
         return merge_search
     raise ValueError("custom adapters must supply a merge function")
+
+
+def merge_outcomes(merge: Callable, outcomes, request) -> tuple[Any, list]:
+    """Merge one request's component outcomes: ``(answer, reports)``.
+
+    The shared tail of every ``serve`` / ``aserve``: worker-side spans
+    piggybacked on ``outcomes`` are stitched into the live tracer, then
+    the results merge under ``request``'s payload.
+    """
+    from repro.serving.telemetry import get_tracer
+
+    get_tracer().ingest_outcomes(outcomes)
+    answer = merge([o.result for o in outcomes], request.payload)
+    return answer, [o.report for o in outcomes]

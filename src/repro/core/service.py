@@ -41,7 +41,7 @@ from typing import Any, Callable
 from repro.core.adapters import ServiceAdapter
 from repro.core.builder import SynopsisBuilder, SynopsisConfig
 from repro.core.clock import DeadlineClock, SimulatedClock, monotonic
-from repro.core.servable import default_merge
+from repro.core.servable import default_merge, merge_outcomes
 from repro.core.state import (ComponentState, StateEpoch, StateStore,
                               UpdateHint)
 from repro.core.synopsis import Synopsis
@@ -239,23 +239,15 @@ class AccuracyTraderService:
         outcomes are stitched into the live tracer.
         """
         from repro.serving.envelope import ServingResponse
-        from repro.serving.telemetry import (attach_context, get_tracer,
-                                             trace_context_of)
+        from repro.serving.telemetry import get_tracer
 
-        tracer = get_tracer()
-        request = tracer.trace(request)
-        ctx = trace_context_of(request)
         t_dispatch = monotonic()
-        with tracer.span("serve", ctx, components=self.n_components) as sp:
-            task_request = request if sp.ctx is ctx \
-                else attach_context(request, sp.ctx)
-            tasks = self.build_tasks(task_request, clocks=clocks)
+        with get_tracer().request_span(
+                "serve", request, components=self.n_components) as (env, _):
+            tasks = self.build_tasks(env, clocks=clocks)
             exec_backend = self.backend if backend is None else backend
             outcomes = exec_backend.run_tasks(tasks)
-            tracer.ingest_outcomes(outcomes)
-            results = [o.result for o in outcomes]
-            reports = [o.report for o in outcomes]
-            answer = self._merge(results, request.payload)
+            answer, reports = merge_outcomes(self._merge, outcomes, request)
         return ServingResponse(
             answer=answer, reports=reports,
             request=request, service_time=monotonic() - t_dispatch)
@@ -273,23 +265,15 @@ class AccuracyTraderService:
         """
         from repro.serving.aio import arun_tasks
         from repro.serving.envelope import ServingResponse
-        from repro.serving.telemetry import (attach_context, get_tracer,
-                                             trace_context_of)
+        from repro.serving.telemetry import get_tracer
 
-        tracer = get_tracer()
-        request = tracer.trace(request)
-        ctx = trace_context_of(request)
         t_dispatch = monotonic()
-        with tracer.span("serve", ctx, components=self.n_components) as sp:
-            task_request = request if sp.ctx is ctx \
-                else attach_context(request, sp.ctx)
-            tasks = self.build_tasks(task_request, clocks=clocks)
+        with get_tracer().request_span(
+                "serve", request, components=self.n_components) as (env, _):
+            tasks = self.build_tasks(env, clocks=clocks)
             exec_backend = self.backend if backend is None else backend
             outcomes = await arun_tasks(exec_backend, tasks)
-            tracer.ingest_outcomes(outcomes)
-            results = [o.result for o in outcomes]
-            reports = [o.report for o in outcomes]
-            answer = self._merge(results, request.payload)
+            answer, reports = merge_outcomes(self._merge, outcomes, request)
         return ServingResponse(
             answer=answer, reports=reports,
             request=request, service_time=monotonic() - t_dispatch)

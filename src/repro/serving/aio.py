@@ -25,11 +25,13 @@ module rebuilds the serving path on an event loop:
   backend drops into every existing ``Servable`` unchanged; the async
   ``arun_tasks`` path runs on the caller's loop.  ``cancel_grace``
   wires per-task cancellation to the task's deadline budget.
-- :class:`AsyncServingHarness` — drives an open-loop trace with one
-  coroutine per request, optionally behind an
-  :class:`~repro.serving.admission.AdmissionController`, and reports
-  the same :class:`~repro.serving.harness.ServingRunStats` shape as the
-  thread harness (plus shed / queue-depth / in-flight counters).
+- :class:`AsyncServingHarness` — drives open- and closed-loop loads
+  with one coroutine per request (open loop optionally behind an
+  :class:`~repro.serving.admission.AdmissionController`).  It shares
+  the thread harness's core — construction, "request" spans and the
+  per-run recorder that builds
+  :class:`~repro.serving.harness.ServingRunStats` — and adds only its
+  pacing and the shed / queue-depth counters.
 
 Where the thread tier's hedged routing can only ``Future.cancel`` a
 *queued* losing copy, the async tier cancels a *running* one: the
@@ -47,20 +49,16 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.core.clock import ClockFactory, DeadlineClock, WallClock, \
-    monotonic, wall_clock_factory
+    monotonic
 from repro.core.processor import ProcessingReport, effective_i_max
 from repro.serving.adapters import IOStallAdapter
 from repro.serving.admission import AdmissionController
 from repro.serving.backends import ComponentOutcome, ComponentTask, \
     ExecutionBackend, _task_recorder, run_component_task, stamp_envelope, \
     submit_all
-from repro.serving.envelope import aserve_via
-from repro.serving.harness import ServingRunStats, apply_class_breakdown, \
-    apply_hedge_delta, apply_payload_delta, collect_hedge_counters, \
-    collect_payload_counters, payload_backend_of, resolve_envelopes
+from repro.serving.harness import ServingRunStats, _HarnessCore
 from repro.serving.loadgen import ClosedLoopLoad, OpenLoopLoad
-from repro.serving.telemetry import attach_context, get_tracer, \
-    trace_context_of
+from repro.serving.telemetry import get_tracer, trace_context_of
 
 __all__ = [
     "is_async_adapter",
@@ -409,7 +407,7 @@ async def arun_tasks(backend, tasks: Sequence[ComponentTask],
 # ---------------------------------------------------------------------------
 
 
-class AsyncServingHarness:
+class AsyncServingHarness(_HarnessCore):
     """Serve request streams as coroutines — one per in-flight request.
 
     Mirrors :class:`~repro.serving.harness.ServingHarness` for the async
@@ -425,69 +423,21 @@ class AsyncServingHarness:
     Parameters
     ----------
     service:
-        Any :class:`~repro.core.servable.Servable` (its ``aprocess`` is
+        Any :class:`~repro.core.servable.Servable` (its ``aserve`` is
         driven).
-    deadline, backend, clock_factory, time_scale:
+    deadline, backend, clock_factory:
         As in :class:`~repro.serving.harness.ServingHarness`.
     admission:
         Optional admission controller; without one the loop accepts the
         entire trace concurrently.
-    batch_window, batch_max:
-        As in :class:`~repro.serving.harness.ServingHarness`: a non-None
-        ``batch_window`` wraps the backend in a
-        :class:`~repro.serving.backends.BatchingBackend` so concurrent
-        requests' same-``(component, epoch)`` tasks coalesce into one
-        batched submission.
     """
 
     def __init__(self, service, deadline: float,
-                 backend: ExecutionBackend | None = None,
+                 backend: ExecutionBackend | str | None = None,
                  clock_factory: ClockFactory | None = None,
-                 admission: AdmissionController | None = None,
-                 time_scale: float = 1.0,
-                 batch_window: float | None = None,
-                 batch_max: int = 32):
-        from repro.serving.backends import BatchingBackend, resolve_backend
-
-        if deadline < 0:
-            raise ValueError("deadline must be non-negative")
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        self.service = service
-        self.deadline = float(deadline)
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
-        self.backend = (resolve_backend(backend)
-                        if backend is not None else None)
-        if batch_window is not None:
-            inner = (self.backend if self.backend is not None
-                     else resolve_backend(None))
-            self.backend = BatchingBackend(inner, window=batch_window,
-                                           max_batch=batch_max,
-                                           close_inner=self._owns_backend)
-            self._owns_backend = True
-        self.clock_factory = (clock_factory if clock_factory is not None
-                              else wall_clock_factory())
+                 admission: AdmissionController | None = None):
+        super().__init__(service, deadline, backend, clock_factory)
         self.admission = admission
-        self.time_scale = float(time_scale)
-
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        if self.backend is not None and self._owns_backend:
-            self.backend.close()
-
-    def __enter__(self) -> "AsyncServingHarness":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def _clocks(self) -> list:
-        n = self.service.n_components
-        return [self.clock_factory(c) for c in range(n)]
-
-    def _payload_backend(self):
-        return payload_backend_of(self.backend, self.service)
 
     # ------------------------------------------------------------------
 
@@ -505,110 +455,60 @@ class AsyncServingHarness:
 
         ``updates`` follows the thread harness's schedule contract:
         each ``(at_seconds, fn)`` runs ``fn(service)`` once ``at``
-        seconds of (scaled) stream time elapse — in an executor, since
-        synopsis rebuilds block — with results (or exceptions) recorded
-        in ``update_log``.
+        seconds of stream time elapse — in an executor, since synopsis
+        rebuilds block — with results (or exceptions) recorded in
+        ``update_log``.
         """
         loop = asyncio.get_running_loop()
-        n = load.n_requests
-        envelopes = resolve_envelopes(load.requests, self.deadline)
-        answers: list[Any] = [None] * n
-        reports: list[Any] = [None] * n
-        latencies = np.full(n, np.nan)
-        queue_delays = np.full(n, np.nan)
-        served = np.zeros(n, dtype=bool)
-        update_log: list[tuple[float, Any]] = []
-        inflight = 0
-        inflight_max = 0
-        hedge0 = collect_hedge_counters(self.service)
-        payload0 = collect_payload_counters(self._payload_backend())
         adm = self.admission
         if adm is not None:
             adm.reset_watermarks()  # report run-local peaks, not lifetime
             shed0 = (adm.stats().shed, dict(adm.stats().shed_reasons))
-        t0 = loop.time()
+        rec = self._recorder(load, loop.time)
 
         async def apply_updates() -> None:
-            for at, fn in sorted(updates or [], key=lambda p: p[0]):
-                delay = t0 + at * self.time_scale - loop.time()
+            for at, fn in sorted(updates, key=lambda p: p[0]):
+                delay = rec.t0 + at - loop.time()
                 if delay > 0:
                     await asyncio.sleep(delay)
-                try:
-                    update_log.append(
-                        (at, await loop.run_in_executor(None, fn,
-                                                        self.service)))
-                except Exception as exc:  # noqa: BLE001 - recorded
-                    update_log.append((at, exc))
+                await loop.run_in_executor(None, rec.apply_update, at, fn)
 
         async def serve(i: int) -> None:
-            nonlocal inflight, inflight_max
-            tracer = get_tracer()
-            envelope = tracer.trace(envelopes[i])
-            ctx = trace_context_of(envelope)
-            scheduled = t0 + float(load.arrivals[i]) * self.time_scale
+            scheduled = rec.t0 + float(load.arrivals[i])
             delay = scheduled - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
             # The "request" span is the trace root's first child and
             # covers admission queueing and the service call alike.
-            with tracer.span("request", ctx,
-                             request_class=envelope.request_class.value,
-                             ) as sp:
-                env = (envelope if sp.ctx is ctx
-                       else attach_context(envelope, sp.ctx))
+            with self._request_span(rec.envelopes[i]) as (env, sp):
                 if adm is not None:
                     waited = max(0.0, loop.time() - scheduled)
                     reason = await adm.acquire(waited=waited, request=env)
                     if reason is not None:
                         sp.tag(outcome=f"shed:{reason}")
                         return  # shed: no slot held, answer stays None
-                inflight += 1
-                inflight_max = max(inflight_max, inflight)
                 t_dispatch = loop.time()
                 try:
-                    resp = await aserve_via(self.service, env,
-                                            clocks=self._clocks(),
-                                            backend=self.backend)
+                    with rec.in_flight():
+                        resp = await self.service.aserve(
+                            env, clocks=self._clocks(), backend=self.backend)
                 finally:
-                    inflight -= 1
                     if adm is not None:
                         adm.release()
-            resp.queue_delay = max(0.0, t_dispatch - scheduled)
-            answers[i] = resp.answer
-            reports[i] = resp.reports
-            latencies[i] = loop.time() - scheduled
-            queue_delays[i] = resp.queue_delay
-            served[i] = True
+            rec.record(i, resp, loop.time() - scheduled,
+                       max(0.0, t_dispatch - scheduled))
 
         updater = (asyncio.ensure_future(apply_updates())
                    if updates else None)
         try:
-            await asyncio.gather(*(serve(i) for i in range(n)))
+            await asyncio.gather(*(serve(i) for i in range(load.n_requests)))
         finally:
             if updater is not None:
                 updater.cancel()
                 await asyncio.gather(updater, return_exceptions=True)
 
-        duration = loop.time() - t0
-        subs = np.array([rep.total_elapsed
-                         for i in range(n) if served[i]
-                         for rep in reports[i]], dtype=float)
-        # answers/reports keep one aligned slot per *offered* request
-        # (None where shed), like the thread harness; request_latencies
-        # is compacted to served requests so percentiles stay finite.
-        stats = ServingRunStats(
-            sub_latencies=subs,
-            request_latencies=latencies[served],
-            n_requests=int(served.sum()),
-            n_components=self.service.n_components,
-            duration=float(duration),
-            answers=list(answers),
-            reports=list(reports),
-            update_log=list(update_log),
-            offered=n,
-            inflight_max=inflight_max,
-            queue_delays=queue_delays[served],
-        )
+        stats = rec.stats()
+        stats.offered = load.n_requests
         if adm is not None:
             a = adm.stats()
             stats.shed = a.shed - shed0[0]
@@ -617,9 +517,7 @@ class AsyncServingHarness:
                 for k, v in a.shed_reasons.items()
                 if v - shed0[1].get(k, 0) > 0}
             stats.queue_depth_max = a.queue_depth_max
-        apply_class_breakdown(stats, envelopes, latencies, served)
-        apply_payload_delta(stats, self._payload_backend(), payload0)
-        return apply_hedge_delta(stats, self.service, hedge0)
+        return stats
 
     # ------------------------------------------------------------------
 
@@ -641,77 +539,25 @@ class AsyncServingHarness:
         construction.
         """
         loop = asyncio.get_running_loop()
-        n = load.n_requests
-        envelopes = resolve_envelopes(load.requests, self.deadline)
-        answers: list[Any] = [None] * n
-        reports: list[Any] = [None] * n
-        latencies = np.zeros(n, dtype=float)
-        queue_delays = np.zeros(n, dtype=float)
-        next_index = 0
-        inflight = 0
-        inflight_max = 0
-        hedge0 = collect_hedge_counters(self.service)
-        payload0 = collect_payload_counters(self._payload_backend())
-        t0 = loop.time()
+        rec = self._recorder(load, loop.time)
 
         async def client() -> None:
-            nonlocal next_index, inflight, inflight_max
-            tracer = get_tracer()
-            while True:
-                # Single-threaded loop: claim + counters need no lock
-                # (no await between read and write).
-                i = next_index
-                if i >= n:
-                    return
-                next_index += 1
-                inflight += 1
-                inflight_max = max(inflight_max, inflight)
+            while (i := rec.claim()) is not None:
                 issued = loop.time()
-                envelope = tracer.trace(envelopes[i])
-                ctx = trace_context_of(envelope)
-                try:
-                    with tracer.span(
-                            "request", ctx,
-                            request_class=envelope.request_class.value,
-                            ) as sp:
-                        env = (envelope if sp.ctx is ctx
-                               else attach_context(envelope, sp.ctx))
-                        resp = await aserve_via(self.service, env,
-                                                clocks=self._clocks(),
-                                                backend=self.backend)
-                finally:
-                    inflight -= 1
-                done = loop.time()
+                with rec.in_flight(), \
+                        self._request_span(rec.envelopes[i]) as (env, _):
+                    resp = await self.service.aserve(
+                        env, clocks=self._clocks(), backend=self.backend)
+                latency = loop.time() - issued
                 # Closed-loop clients dispatch immediately: the queue
                 # part of the latency is what the stack spent outside
                 # the service call proper (backend queueing).
-                resp.queue_delay = max(0.0,
-                                       (done - issued) - resp.service_time)
-                answers[i] = resp.answer
-                reports[i] = resp.reports
-                latencies[i] = done - issued
-                queue_delays[i] = resp.queue_delay
-                think = float(load.think_times[i]) * self.time_scale
+                rec.record(i, resp, latency,
+                           max(0.0, latency - resp.service_time))
+                think = float(load.think_times[i])
                 if think > 0:
                     await asyncio.sleep(think)
 
-        await asyncio.gather(*(client()
-                               for _ in range(min(load.n_clients, n) or 1)))
-
-        duration = loop.time() - t0
-        subs = np.array([rep.total_elapsed for reps in reports
-                         for rep in reps], dtype=float)
-        stats = ServingRunStats(
-            sub_latencies=subs,
-            request_latencies=latencies,
-            n_requests=n,
-            n_components=self.service.n_components,
-            duration=float(duration),
-            answers=list(answers),
-            reports=list(reports),
-            inflight_max=inflight_max,
-            queue_delays=queue_delays,
-        )
-        apply_class_breakdown(stats, envelopes, latencies)
-        apply_payload_delta(stats, self._payload_backend(), payload0)
-        return apply_hedge_delta(stats, self.service, hedge0)
+        await asyncio.gather(*(client() for _ in range(
+            min(load.n_clients, load.n_requests) or 1)))
+        return rec.stats()

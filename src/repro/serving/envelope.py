@@ -49,8 +49,6 @@ __all__ = [
     "ServingResponse",
     "as_envelope",
     "payload_of",
-    "serve_via",
-    "aserve_via",
 ]
 
 
@@ -277,31 +275,3 @@ def payload_of(request) -> Any:
     if isinstance(request, ServingRequest):
         return request.payload
     return request
-
-
-def serve_via(service, request: ServingRequest, clocks=None, backend=None,
-              ) -> ServingResponse:
-    """Serve one envelope on ``service``, tolerating legacy servables.
-
-    An envelope-native service answers through ``serve``; a legacy
-    implementation (only ``process``) is driven through the positional
-    API and its tuple reply is wrapped — so harnesses can be fully
-    envelope-typed without breaking third-party servables mid-migration.
-    """
-    serve = getattr(service, "serve", None)
-    if callable(serve):
-        return serve(request, clocks=clocks, backend=backend)
-    answer, reports = service.process(request.payload, request.deadline,
-                                      clocks=clocks, backend=backend)
-    return ServingResponse(answer=answer, reports=reports, request=request)
-
-
-async def aserve_via(service, request: ServingRequest, clocks=None,
-                     backend=None) -> ServingResponse:
-    """Async :func:`serve_via`: ``aserve`` if present, else ``aprocess``."""
-    aserve = getattr(service, "aserve", None)
-    if callable(aserve):
-        return await aserve(request, clocks=clocks, backend=backend)
-    answer, reports = await service.aprocess(
-        request.payload, request.deadline, clocks=clocks, backend=backend)
-    return ServingResponse(answer=answer, reports=reports, request=request)

@@ -14,6 +14,13 @@ measured throughput and latency distribution in the same shape as
 :class:`repro.cluster.FanoutRunStats` (``sub_latencies`` /
 ``request_latencies`` / ``n_requests`` / ``n_components``), so the
 simulator's and the server's numbers can be compared side by side.
+
+The thread harness here and the coroutine harness in
+:mod:`repro.serving.aio` share one core: construction and backend
+ownership, per-request clocks and "request" spans, and one per-run
+recorder that snapshots the hedge and payload counters at start, takes
+one slot per answered request, and builds the
+:class:`ServingRunStats`.  Each harness keeps only its own pacing.
 """
 
 from __future__ import annotations
@@ -21,25 +28,27 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from repro.core.clock import ClockFactory, monotonic, wall_clock_factory
-from repro.serving.backends import (BatchingBackend, ExecutionBackend,
-                                    resolve_backend)
-from repro.serving.envelope import ServingRequest, as_envelope, serve_via
+from repro.serving.backends import ExecutionBackend, resolve_backend
+from repro.serving.envelope import ServingRequest, as_envelope
 from repro.serving.loadgen import ClosedLoopLoad, OpenLoopLoad
-from repro.serving.telemetry import attach_context, get_tracer, \
-    trace_context_of
+from repro.serving.telemetry import get_tracer
 from repro.util.stats import percentile
 
 __all__ = ["ServingRunStats", "AccuracyPoint", "ServingHarness",
-           "collect_hedge_counters", "apply_hedge_delta",
-           "collect_payload_counters", "apply_payload_delta",
-           "payload_backend_of", "apply_class_breakdown",
-           "resolve_envelopes"]
+           "payload_backend_of", "resolve_envelopes"]
+
+#: Counter families a run reports as deltas: the router's hedge counters
+#: and the backends' serialized-payload counters.
+_RUN_COUNTERS = ("shard_calls", "hedges_issued", "hedge_wins",
+                 "task_bytes", "state_bytes", "tasks_shipped",
+                 "state_publishes")
 
 
 def resolve_envelopes(requests, deadline: float) -> list[ServingRequest]:
@@ -52,33 +61,6 @@ def resolve_envelopes(requests, deadline: float) -> list[ServingRequest]:
     unset); bare payloads are wrapped as default-class envelopes.
     """
     return [as_envelope(r).resolved(deadline) for r in requests]
-
-
-def collect_hedge_counters(service) -> dict | None:
-    """Snapshot a service's hedge counters, if it keeps any.
-
-    Duck-typed on ``hedge_counters()`` (today:
-    :class:`~repro.serving.router.ShardedService`), so harnesses can
-    report per-run hedge rates without knowing the service's type.
-    """
-    counters = getattr(service, "hedge_counters", None)
-    return counters() if callable(counters) else None
-
-
-def apply_hedge_delta(stats: "ServingRunStats", service,
-                      before: dict | None) -> "ServingRunStats":
-    """Fill ``stats``' hedge fields with this run's counter deltas.
-
-    Shared by the thread and async harnesses: ``before`` is the
-    :func:`collect_hedge_counters` snapshot taken at run start.
-    """
-    after = collect_hedge_counters(service)
-    if before is not None and after is not None:
-        stats.shard_calls = after["shard_calls"] - before["shard_calls"]
-        stats.hedges_issued = (after["hedges_issued"]
-                               - before["hedges_issued"])
-        stats.hedge_wins = after["hedge_wins"] - before["hedge_wins"]
-    return stats
 
 
 def payload_backend_of(harness_backend, service):
@@ -115,72 +97,6 @@ def payload_backend_of(harness_backend, service):
     return backends
 
 
-def collect_payload_counters(backends) -> dict | None:
-    """Snapshot serialized-payload counters, summed across backends.
-
-    ``backends`` is one backend or a list of them (the
-    :func:`payload_backend_of` shape).  Duck-typed on
-    ``payload_counters()`` (every :class:`~repro.serving.backends.
-    ExecutionBackend`; in-process backends report zeros).  ``None``
-    when nothing keeps counters at all.
-    """
-    if not isinstance(backends, (list, tuple)):
-        backends = [backends]
-    total: dict | None = None
-    for backend in backends:
-        counters = getattr(backend, "payload_counters", None)
-        if not callable(counters):
-            continue
-        snapshot = counters()
-        if total is None:
-            total = dict(snapshot)
-        else:
-            for key, value in snapshot.items():
-                total[key] = total.get(key, 0) + value
-    return total
-
-
-def apply_payload_delta(stats: "ServingRunStats", backend,
-                        before: dict | None) -> "ServingRunStats":
-    """Fill ``stats``' payload-bytes fields with this run's deltas.
-
-    Shared by the thread and async harnesses: ``before`` is the
-    :func:`collect_payload_counters` snapshot taken at run start.  On
-    the remote backend ``task_bytes`` grows with request rate (small
-    frames holding detached refs) while ``state_bytes`` grows with
-    update (epoch) rate.
-    """
-    after = collect_payload_counters(backend)
-    if before is not None and after is not None:
-        for field_name in ("task_bytes", "state_bytes", "tasks_shipped",
-                           "state_publishes"):
-            setattr(stats, field_name,
-                    after[field_name] - before[field_name])
-    return stats
-
-
-def apply_class_breakdown(stats: "ServingRunStats", envelopes,
-                          latencies, served=None) -> "ServingRunStats":
-    """Fill ``stats``' per-class fields from one run's envelopes.
-
-    Shared by the thread and async harnesses.  ``latencies`` aligns
-    index-wise with ``envelopes``; ``served`` is an optional boolean
-    mask (``False`` = shed by admission — counted in ``class_shed``,
-    its latency slot ignored).
-    """
-    by_class: dict[str, list[float]] = {}
-    for i, env in enumerate(envelopes):
-        key = env.request_class.value
-        if served is None or served[i]:
-            stats.class_served[key] = stats.class_served.get(key, 0) + 1
-            by_class.setdefault(key, []).append(float(latencies[i]))
-        else:
-            stats.class_shed[key] = stats.class_shed.get(key, 0) + 1
-    stats.class_latencies = {k: np.asarray(v, dtype=float)
-                             for k, v in by_class.items()}
-    return stats
-
-
 @dataclass
 class ServingRunStats:
     """Measured outcome of one served request stream.
@@ -208,8 +124,8 @@ class ServingRunStats:
     update_log:
         ``(at_seconds, report)`` for every concurrent update applied.
     shard_calls / hedges_issued / hedge_wins:
-        Router hedging counters for this run (deltas, collected via
-        :func:`collect_hedge_counters`); zero for unrouted services.
+        Router hedging counters for this run (deltas of the service's
+        ``hedge_counters()``); zero for unrouted services.
         :meth:`hedge_rate` is the realized re-issue fraction — compare
         it to the router's configured ``hedge_budget``.
     offered / shed / shed_reasons / queue_depth_max / inflight_max:
@@ -239,8 +155,8 @@ class ServingRunStats:
         time).
     task_bytes / state_bytes / tasks_shipped / state_publishes:
         Serialized-payload accounting for this run (deltas from the
-        harness's backend, collected via
-        :func:`collect_payload_counters`; zero for in-process backends,
+        backends :func:`payload_backend_of` finds, read through their
+        ``payload_counters()``; zero for in-process backends,
         which move references, not bytes).  ``task_bytes`` is what
         crossed the process boundary *per task* (a detached ref, not
         state); ``state_bytes`` counts snapshots and deltas shipped
@@ -387,7 +303,181 @@ class AccuracyPoint:
     groups_processed_mean: float
 
 
-class ServingHarness:
+class _RunRecorder:
+    """One run's measurements, from counter snapshots to the stats.
+
+    Holds one aligned slot per offered request (``answers``, ``reports``,
+    latency, queue delay, served flag), the run's update log and its
+    in-flight peak.  Hedge and payload counters are snapshotted at
+    construction, so :meth:`stats` reports this run's deltas only.
+    Thread-safe: the thread harness records from many workers.
+    """
+
+    def __init__(self, harness: "_HarnessCore", envelopes: list,
+                 clock: Callable[[], float] = monotonic):
+        n = len(envelopes)
+        self.service = harness.service
+        self.backends = harness._payload_backend()
+        self.envelopes = envelopes
+        self.answers: list[Any] = [None] * n
+        self.reports: list[Any] = [None] * n
+        self.latencies = np.full(n, np.nan)
+        self.queue_delays = np.full(n, np.nan)
+        self.served = np.zeros(n, dtype=bool)
+        self.update_log: list[tuple[float, Any]] = []
+        self.inflight = self.inflight_max = 0
+        self._next_index = 0
+        self._lock = threading.Lock()
+        self._counters0 = self._counters()
+        self._clock = clock
+        self.t0 = clock()
+
+    def _counters(self) -> dict:
+        """The service's hedge counters plus the backends' payload
+        counters, summed (duck-typed; absent families stay absent)."""
+        hedge = getattr(self.service, "hedge_counters", None)
+        counters = dict(hedge()) if callable(hedge) else {}
+        for backend in self.backends:
+            payload = getattr(backend, "payload_counters", None)
+            if callable(payload):
+                for key, value in payload().items():
+                    counters[key] = counters.get(key, 0) + value
+        return counters
+
+    def claim(self) -> int | None:
+        """The next unclaimed request index (closed loop), or ``None``."""
+        with self._lock:
+            i = self._next_index
+            if i >= len(self.envelopes):
+                return None
+            self._next_index += 1
+            return i
+
+    @contextmanager
+    def in_flight(self):
+        """Count one request in flight for the duration of the block."""
+        with self._lock:
+            self.inflight += 1
+            self.inflight_max = max(self.inflight_max, self.inflight)
+        try:
+            yield
+        finally:
+            with self._lock:
+                self.inflight -= 1
+
+    def apply_update(self, at: float, fn: Callable) -> None:
+        """Run one scheduled update and log its result in ``update_log``.
+
+        A failing update must not silently kill the schedule: its
+        exception object is logged in its slot instead.
+        """
+        try:
+            self.update_log.append((at, fn(self.service)))
+        except Exception as exc:  # noqa: BLE001 - recorded for caller
+            self.update_log.append((at, exc))
+
+    def record(self, i: int, resp, latency: float,
+               queue_delay: float) -> None:
+        """Request ``i`` was answered by ``resp``."""
+        resp.queue_delay = queue_delay
+        self.answers[i] = resp.answer
+        self.reports[i] = resp.reports
+        self.latencies[i] = latency
+        self.queue_delays[i] = queue_delay
+        self.served[i] = True
+
+    def stats(self) -> ServingRunStats:
+        """This run's :class:`ServingRunStats`.
+
+        ``answers`` and ``reports`` keep one slot per offered request
+        (``None`` where shed); the latency arrays are compacted to the
+        served requests, so percentiles stay finite.
+        """
+        served = self.served
+        stats = ServingRunStats(
+            sub_latencies=np.array(
+                [rep.total_elapsed
+                 for i in np.flatnonzero(served) for rep in self.reports[i]],
+                dtype=float),
+            request_latencies=self.latencies[served],
+            n_requests=int(served.sum()),
+            n_components=self.service.n_components,
+            duration=float(self._clock() - self.t0),
+            answers=list(self.answers),
+            reports=list(self.reports),
+            update_log=list(self.update_log),
+            inflight_max=self.inflight_max,
+            queue_delays=self.queue_delays[served],
+        )
+        by_class: dict[str, list[float]] = {}
+        for i, env in enumerate(self.envelopes):
+            key = env.request_class.value
+            if served[i]:
+                stats.class_served[key] = stats.class_served.get(key, 0) + 1
+                by_class.setdefault(key, []).append(float(self.latencies[i]))
+            else:
+                stats.class_shed[key] = stats.class_shed.get(key, 0) + 1
+        stats.class_latencies = {k: np.asarray(v, dtype=float)
+                                 for k, v in by_class.items()}
+        after = self._counters()
+        for key in _RUN_COUNTERS:
+            if key in self._counters0 and key in after:
+                setattr(stats, key, after[key] - self._counters0[key])
+        return stats
+
+
+class _HarnessCore:
+    """What the thread and coroutine harnesses share.
+
+    Construction checks and backend ownership, :meth:`close` and the
+    context manager, per-request clocks and "request" spans, and the
+    per-run :class:`_RunRecorder`.
+    """
+
+    def __init__(self, service, deadline: float,
+                 backend: ExecutionBackend | str | None = None,
+                 clock_factory: ClockFactory | None = None):
+        if deadline < 0:
+            raise ValueError("deadline must be non-negative")
+        self.service = service
+        self.deadline = float(deadline)
+        self._owns_backend = not isinstance(backend, ExecutionBackend)
+        self.backend = (resolve_backend(backend)
+                        if backend is not None else None)
+        self.clock_factory = (clock_factory if clock_factory is not None
+                              else wall_clock_factory())
+
+    def close(self) -> None:
+        if self.backend is not None and self._owns_backend:
+            self.backend.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _clocks(self) -> list:
+        n = self.service.n_components
+        return [self.clock_factory(c) for c in range(n)]
+
+    def _payload_backend(self):
+        return payload_backend_of(self.backend, self.service)
+
+    def _request_span(self, envelope: ServingRequest):
+        # The harness is the outermost instrumented layer, so it wins
+        # the trace root; the "request" span covers the whole
+        # client-observed service call.
+        return get_tracer().request_span(
+            "request", envelope, request_class=envelope.request_class.value)
+
+    def _recorder(self, load, clock: Callable[[], float] = monotonic,
+                  ) -> _RunRecorder:
+        return _RunRecorder(self, resolve_envelopes(load.requests,
+                                                    self.deadline), clock)
+
+
+class ServingHarness(_HarnessCore):
     """Serves generated load against one service and measures it.
 
     Parameters
@@ -402,7 +492,9 @@ class ServingHarness:
     backend:
         Execution backend (instance, name, or ``None`` for the service's
         own default); backends created here from a name are closed by
-        :meth:`close`.
+        :meth:`close`.  To coalesce concurrent requests' tasks, pass a
+        :class:`~repro.serving.backends.BatchingBackend` wrapping the
+        backend of choice.
     clock_factory:
         Per-component deadline-clock factory for each request; defaults
         to fresh wall clocks (real serving).  Pass
@@ -411,105 +503,21 @@ class ServingHarness:
     max_concurrency:
         Maximum in-flight requests in open-loop mode (the outer dispatch
         pool; per-component parallelism belongs to ``backend``).
-    time_scale:
-        Multiplier applied to arrival gaps at dispatch time (< 1
-        compresses a long trace into a short wall-clock run).  Latencies
-        are always reported in real wall seconds.
-    batch_window:
-        When set, wrap the execution backend in a
-        :class:`~repro.serving.backends.BatchingBackend` holding each
-        coalescing bucket open this many seconds, so concurrent
-        requests' same-``(component, epoch)`` tasks dispatch as one
-        batched submission.  ``None`` (default) dispatches per task.
-    batch_max:
-        Bucket size that forces an immediate flush (only meaningful
-        with ``batch_window``).
     """
 
     def __init__(self, service, deadline: float,
                  backend: ExecutionBackend | str | None = None,
                  clock_factory: ClockFactory | None = None,
-                 max_concurrency: int = 64,
-                 time_scale: float = 1.0,
-                 batch_window: float | None = None,
-                 batch_max: int = 32):
-        if deadline < 0:
-            raise ValueError("deadline must be non-negative")
+                 max_concurrency: int = 64):
         if max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
-        self.service = service
-        self.deadline = float(deadline)
-        self._owns_backend = not isinstance(backend, ExecutionBackend)
-        self.backend = (resolve_backend(backend)
-                        if backend is not None else None)
-        if batch_window is not None:
-            inner = (self.backend if self.backend is not None
-                     else resolve_backend(None))
-            self.backend = BatchingBackend(inner, window=batch_window,
-                                           max_batch=batch_max,
-                                           close_inner=self._owns_backend)
-            self._owns_backend = True
-        self.clock_factory = (clock_factory if clock_factory is not None
-                              else wall_clock_factory())
+        super().__init__(service, deadline, backend, clock_factory)
         self.max_concurrency = int(max_concurrency)
-        self.time_scale = float(time_scale)
-
-    # ------------------------------------------------------------------
-
-    def close(self) -> None:
-        if self.backend is not None and self._owns_backend:
-            self.backend.close()
-
-    def __enter__(self) -> "ServingHarness":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-
-    def _clocks(self) -> list:
-        n = self.service.n_components
-        return [self.clock_factory(c) for c in range(n)]
 
     def _serve(self, envelope: ServingRequest):
-        # The harness is the outermost instrumented layer, so it wins
-        # the trace root; the "request" span covers the whole
-        # client-observed service call.
-        tracer = get_tracer()
-        envelope = tracer.trace(envelope)
-        ctx = trace_context_of(envelope)
-        with tracer.span("request", ctx,
-                         request_class=envelope.request_class.value) as sp:
-            env = (envelope if sp.ctx is ctx
-                   else attach_context(envelope, sp.ctx))
-            return serve_via(self.service, env, clocks=self._clocks(),
-                             backend=self.backend)
-
-    def _apply_hedge_delta(self, stats: ServingRunStats,
-                           before: dict | None) -> ServingRunStats:
-        return apply_hedge_delta(stats, self.service, before)
-
-    def _payload_backend(self):
-        return payload_backend_of(self.backend, self.service)
-
-    @staticmethod
-    def _stats_from(answers, reports, latencies, duration, n_components,
-                    update_log) -> ServingRunStats:
-        subs = np.array([rep.total_elapsed for reps in reports for rep in reps],
-                        dtype=float)
-        return ServingRunStats(
-            sub_latencies=subs,
-            request_latencies=np.asarray(latencies, dtype=float),
-            n_requests=len(answers),
-            n_components=n_components,
-            duration=float(duration),
-            answers=list(answers),
-            reports=list(reports),
-            update_log=list(update_log),
-        )
+        with self._request_span(envelope) as (env, _):
+            return self.service.serve(env, clocks=self._clocks(),
+                                      backend=self.backend)
 
     # ------------------------------------------------------------------
 
@@ -520,37 +528,22 @@ class ServingHarness:
 
         ``updates`` is an optional schedule of ``(at_seconds, fn)``; each
         ``fn(service)`` runs on a background thread once ``at_seconds`` of
-        (scaled) stream time have elapsed — e.g. a closure calling
+        stream time have elapsed — e.g. a closure calling
         :meth:`~repro.core.service.AccuracyTraderService.add_points` —
         concurrently with in-flight requests.  Whatever ``fn`` returns is
         recorded in the stats' ``update_log``; if ``fn`` raises, the
         exception object is recorded in its slot instead and the
         remaining schedule still runs.
         """
-        n = load.n_requests
-        envelopes = resolve_envelopes(load.requests, self.deadline)
-        answers: list[Any] = [None] * n
-        reports: list[Any] = [None] * n
-        latencies = np.zeros(n, dtype=float)
-        queue_delays = np.zeros(n, dtype=float)
-        update_log: list[tuple[float, Any]] = []
-        hedge_before = collect_hedge_counters(self.service)
-        payload_before = collect_payload_counters(self._payload_backend())
-        t0 = monotonic()
-
+        rec = self._recorder(load)
         stop_updates = threading.Event()
 
         def apply_updates() -> None:
             for at, fn in sorted(updates, key=lambda p: p[0]):
-                delay = t0 + at * self.time_scale - monotonic()
+                delay = rec.t0 + at - monotonic()
                 if delay > 0 and stop_updates.wait(delay):
                     return
-                # A failing update must not silently kill the schedule:
-                # log the exception in its slot and keep going.
-                try:
-                    update_log.append((at, fn(self.service)))
-                except Exception as exc:  # noqa: BLE001 - recorded for caller
-                    update_log.append((at, exc))
+                rec.apply_update(at, fn)
 
         updater_thread = None
         if updates:
@@ -558,35 +551,20 @@ class ServingHarness:
                                               daemon=True)
             updater_thread.start()
 
-        inflight = 0
-        inflight_max = 0
-        inflight_lock = threading.Lock()
-
         def serve(i: int, scheduled: float) -> None:
-            nonlocal inflight, inflight_max
-            with inflight_lock:
-                inflight += 1
-                inflight_max = max(inflight_max, inflight)
             t_dispatch = monotonic()
-            try:
-                resp = self._serve(envelopes[i])
-            finally:
-                with inflight_lock:
-                    inflight -= 1
-            done = monotonic()
-            resp.queue_delay = max(0.0, t_dispatch - scheduled)
-            answers[i] = resp.answer
-            reports[i] = resp.reports
-            latencies[i] = done - scheduled
-            queue_delays[i] = resp.queue_delay
+            with rec.in_flight():
+                resp = self._serve(rec.envelopes[i])
+            rec.record(i, resp, monotonic() - scheduled,
+                       max(0.0, t_dispatch - scheduled))
 
         try:
             with ThreadPoolExecutor(
                     max_workers=self.max_concurrency,
                     thread_name_prefix="repro-openloop") as pool:
                 futures = []
-                for i in range(n):
-                    scheduled = t0 + float(load.arrivals[i]) * self.time_scale
+                for i in range(load.n_requests):
+                    scheduled = rec.t0 + float(load.arrivals[i])
                     delay = scheduled - monotonic()
                     if delay > 0:
                         time.sleep(delay)
@@ -597,15 +575,7 @@ class ServingHarness:
             stop_updates.set()
             if updater_thread is not None:
                 updater_thread.join()
-
-        duration = monotonic() - t0
-        stats = self._stats_from(answers, reports, latencies, duration,
-                                 self.service.n_components, update_log)
-        stats.inflight_max = inflight_max
-        stats.queue_delays = queue_delays
-        apply_class_breakdown(stats, envelopes, latencies)
-        apply_payload_delta(stats, self._payload_backend(), payload_before)
-        return self._apply_hedge_delta(stats, hedge_before)
+        return rec.stats()
 
     # ------------------------------------------------------------------
 
@@ -615,66 +585,30 @@ class ServingHarness:
         Each client thread repeatedly claims the next request, serves it,
         records issue-to-completion latency, then thinks.
         """
-        n = load.n_requests
-        envelopes = resolve_envelopes(load.requests, self.deadline)
-        answers: list[Any] = [None] * n
-        reports: list[Any] = [None] * n
-        latencies = np.zeros(n, dtype=float)
-        queue_delays = np.zeros(n, dtype=float)
-        next_index = 0
-        claim_lock = threading.Lock()
-        hedge_before = collect_hedge_counters(self.service)
-        payload_before = collect_payload_counters(self._payload_backend())
-        t0 = monotonic()
-
-        inflight = 0
-        inflight_max = 0
+        rec = self._recorder(load)
 
         def client() -> None:
-            nonlocal next_index, inflight, inflight_max
-            while True:
-                with claim_lock:
-                    i = next_index
-                    if i >= n:
-                        return
-                    next_index += 1
-                    inflight += 1
-                    inflight_max = max(inflight_max, inflight)
+            while (i := rec.claim()) is not None:
                 issued = monotonic()
-                try:
-                    resp = self._serve(envelopes[i])
-                finally:
-                    with claim_lock:
-                        inflight -= 1
-                done = monotonic()
+                with rec.in_flight():
+                    resp = self._serve(rec.envelopes[i])
+                latency = monotonic() - issued
                 # A closed-loop client dispatches immediately, so the
                 # queue part of its latency is whatever the stack spent
                 # outside the service call proper (backend queueing).
-                resp.queue_delay = max(0.0,
-                                       (done - issued) - resp.service_time)
-                answers[i] = resp.answer
-                reports[i] = resp.reports
-                latencies[i] = done - issued
-                queue_delays[i] = resp.queue_delay
-                think = float(load.think_times[i]) * self.time_scale
+                rec.record(i, resp, latency,
+                           max(0.0, latency - resp.service_time))
+                think = float(load.think_times[i])
                 if think > 0:
                     time.sleep(think)
 
         threads = [threading.Thread(target=client, daemon=True)
-                   for _ in range(min(load.n_clients, n) or 1)]
+                   for _ in range(min(load.n_clients, load.n_requests) or 1)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-
-        duration = monotonic() - t0
-        stats = self._stats_from(answers, reports, latencies, duration,
-                                 self.service.n_components, [])
-        stats.inflight_max = inflight_max
-        stats.queue_delays = queue_delays
-        apply_class_breakdown(stats, envelopes, latencies)
-        apply_payload_delta(stats, self._payload_backend(), payload_before)
-        return self._apply_hedge_delta(stats, hedge_before)
+        return rec.stats()
 
     # ------------------------------------------------------------------
 

@@ -23,7 +23,10 @@ Both are envelope-native :class:`~repro.core.servable.Servable`
 implementations: requests travel as typed
 :class:`~repro.serving.envelope.ServingRequest` envelopes through
 ``serve`` / ``aserve`` (the envelope's ``hedge`` field opts a single
-request out of re-issue).
+request out of re-issue).  The two share validation, replica placement,
+the ``router.serve`` span and the merge, and differ only in how the
+shard calls run.  To coalesce tasks across shards and requests, pass a
+:class:`~repro.serving.backends.BatchingBackend` as ``backend``.
 
 Live hedged re-issue
 --------------------
@@ -75,13 +78,13 @@ import numpy as np
 
 from repro.core.clock import ClockFactory, fresh_like, monotonic, \
     wall_clock_factory
+from repro.core.servable import merge_outcomes
 from repro.core.service import AccuracyTraderService
-from repro.serving.backends import (BatchingBackend, ExecutionBackend,
-                                    resolve_backend)
+from repro.serving.backends import ExecutionBackend, resolve_backend
 from repro.serving.envelope import ServingRequest, ServingResponse, \
     payload_of
-from repro.serving.telemetry import MetricsRegistry, attach_context, \
-    get_tracer, trace_context_of
+from repro.serving.telemetry import MetricsRegistry, get_tracer, \
+    trace_context_of
 from repro.strategies.reissue import ReissueStrategy
 from repro.workloads.partitioning import reshard_partitions
 
@@ -338,14 +341,6 @@ class ShardedService:
         a map attached, :meth:`add_points` / :meth:`change_points`
         accept global record ids and route to the owning shard and
         component themselves — the caller never addresses a shard index.
-    batch_window, batch_max:
-        A non-None ``batch_window`` wraps the default backend in a
-        :class:`~repro.serving.backends.BatchingBackend`, coalescing
-        concurrent requests' same-``(component, epoch)`` tasks — across
-        shards and requests alike — into batched submissions held open
-        ``batch_window`` seconds (flushed early at ``batch_max``).
-        Hedged copies still queue per task, so tied-request
-        cancellation keeps working.
     """
 
     def __init__(self, shards: Sequence,
@@ -355,9 +350,7 @@ class ShardedService:
                  hedge: ReissueStrategy | None = None,
                  hedge_budget: float | None = 0.05,
                  clock_factory: ClockFactory | None = None,
-                 component_map=None,
-                 batch_window: float | None = None,
-                 batch_max: int = 32):
+                 component_map=None):
         groups = []
         for shard in shards:
             if isinstance(shard, ReplicaGroup):
@@ -389,12 +382,6 @@ class ShardedService:
         self.merge = merge if merge is not None else groups[0].merge
         self._owns_backend = not isinstance(backend, ExecutionBackend)
         self.backend = resolve_backend(backend)
-        if batch_window is not None:
-            self.backend = BatchingBackend(self.backend,
-                                           window=batch_window,
-                                           max_batch=batch_max,
-                                           close_inner=self._owns_backend)
-            self._owns_backend = True
         self.hedge = hedge
         if hedge_budget is not None and not (0.0 < hedge_budget <= 1.0):
             raise ValueError("hedge_budget must be in (0, 1] or None")
@@ -506,8 +493,9 @@ class ShardedService:
 
     # -- Servable ------------------------------------------------------
 
-    def _check_envelope(self, request, clocks) -> float:
-        """Validate one serve call; returns the resolved deadline."""
+    def _start_call(self, request, clocks, backend) -> tuple:
+        """Validate one serve call and place it: ``(deadline, backend,
+        replica picks, hedged)``, the picks counted as shard calls."""
         if not isinstance(request, ServingRequest):
             raise TypeError(
                 "serve() takes a ServingRequest envelope; wrap bare "
@@ -518,7 +506,12 @@ class ShardedService:
                 "request.resolved(default) or with_deadline()")
         if clocks is not None and len(clocks) != self.n_components:
             raise ValueError("need one clock per component")
-        return request.deadline
+        picks = [g.next_replica() for g in self.shards]
+        with self._hedge_lock:
+            self._shard_calls.inc(self.n_shards)
+        return (request.deadline,
+                self.backend if backend is None else backend,
+                picks, self._hedge_enabled(request))
 
     def _hedge_enabled(self, request: ServingRequest) -> bool:
         """Whether this request may hedge (strategy + per-request override).
@@ -540,29 +533,15 @@ class ShardedService:
         configuration.  Thread-safe: concurrent calls round-robin
         replicas independently and hedging state is lock-protected.
         """
-        deadline = self._check_envelope(request, clocks)
-        exec_backend = self.backend if backend is None else backend
-        tracer = get_tracer()
-        request = tracer.trace(request)
-        ctx = trace_context_of(request)
         t_dispatch = monotonic()
-        picks = [g.next_replica() for g in self.shards]
-        with self._hedge_lock:
-            self._shard_calls.inc(self.n_shards)
-        with tracer.span("router.serve", ctx, shards=self.n_shards,
-                         hedged=self._hedge_enabled(request)) as sp:
-            task_request = (request if sp.ctx is ctx
-                            else attach_context(request, sp.ctx))
-            if not self._hedge_enabled(request):
-                outcomes = self._run_unhedged(task_request, deadline, clocks,
-                                              exec_backend, picks)
-            else:
-                outcomes = self._run_hedged(task_request, deadline, clocks,
-                                            exec_backend, picks)
-            tracer.ingest_outcomes(outcomes)
-            results = [o.result for o in outcomes]
-            reports = [o.report for o in outcomes]
-            answer = self.merge(results, request.payload)
+        deadline, exec_backend, picks, hedged = self._start_call(
+            request, clocks, backend)
+        with get_tracer().request_span("router.serve", request,
+                                       shards=self.n_shards,
+                                       hedged=hedged) as (env, _):
+            outcomes = (self._run_hedged if hedged else self._run_unhedged)(
+                env, deadline, clocks, exec_backend, picks)
+            answer, reports = merge_outcomes(self.merge, outcomes, request)
         return ServingResponse(
             answer=answer, reports=reports,
             request=request, service_time=monotonic() - t_dispatch)
@@ -579,37 +558,28 @@ class ShardedService:
         only drop a still-queued future.  Budget, placement, and
         counters are shared with the sync path.
         """
-        deadline = self._check_envelope(request, clocks)
-        exec_backend = self.backend if backend is None else backend
-        tracer = get_tracer()
-        request = tracer.trace(request)
-        ctx = trace_context_of(request)
         t_dispatch = monotonic()
-        picks = [g.next_replica() for g in self.shards]
-        with self._hedge_lock:
-            self._shard_calls.inc(self.n_shards)
-        with tracer.span("router.serve", ctx, shards=self.n_shards,
-                         hedged=self._hedge_enabled(request)) as sp:
-            task_request = (request if sp.ctx is ctx
-                            else attach_context(request, sp.ctx))
-            if not self._hedge_enabled(request):
-                per_shard = await asyncio.gather(
-                    *(self._arun_shard_copy(task_request, deadline, clocks,
-                                            s, picks[s], exec_backend)
-                      for s in range(self.n_shards)))
-            else:
-                per_shard = await asyncio.gather(
-                    *(self._arun_hedged_shard(task_request, deadline, clocks,
-                                              s, picks[s], exec_backend)
-                      for s in range(self.n_shards)))
-            outcomes = [o for shard in per_shard for o in shard]
-            tracer.ingest_outcomes(outcomes)
-            results = [o.result for o in outcomes]
-            reports = [o.report for o in outcomes]
-            answer = self.merge(results, request.payload)
+        deadline, exec_backend, picks, hedged = self._start_call(
+            request, clocks, backend)
+        with get_tracer().request_span("router.serve", request,
+                                       shards=self.n_shards,
+                                       hedged=hedged) as (env, _):
+            outcomes = await self._arun_shards(
+                env, deadline, clocks, exec_backend, picks, hedged)
+            answer, reports = merge_outcomes(self.merge, outcomes, request)
         return ServingResponse(
             answer=answer, reports=reports,
             request=request, service_time=monotonic() - t_dispatch)
+
+    async def _arun_shards(self, request, deadline, clocks, exec_backend,
+                           picks, hedged: bool) -> list:
+        """Await every shard's call concurrently; outcomes in global
+        component order."""
+        run = self._arun_hedged_shard if hedged else self._arun_shard_copy
+        per_shard = await asyncio.gather(
+            *(run(request, deadline, clocks, s, picks[s], exec_backend)
+              for s in range(self.n_shards)))
+        return [o for shard in per_shard for o in shard]
 
     async def _arun_shard_copy(self, request, deadline, clocks, shard: int,
                                replica: int, exec_backend) -> list:

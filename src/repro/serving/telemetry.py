@@ -341,6 +341,22 @@ class Tracer:
             return _NullScope(ctx)
         return _open_span(name, ctx, self._store, self.clock, tags)
 
+    @contextmanager
+    def request_span(self, name: str, envelope, **tags):
+        """Root ``envelope`` in a trace and time ``name`` under it.
+
+        The prelude every request entry point shares (harness, service,
+        router): :meth:`trace`, then :meth:`span` under the envelope's
+        context.  Yields ``(env, scope)``: ``env`` carries the new
+        span's context, so work dispatched with it nests beneath the
+        span (it is ``envelope`` itself when no span opened); ``scope``
+        tags the span mid-flight.
+        """
+        ctx = trace_context_of(self.trace(envelope))
+        with self.span(name, ctx, **tags) as scope:
+            yield (envelope if scope.ctx is ctx
+                   else attach_context(envelope, scope.ctx)), scope
+
     def record(self, name: str, ctx: TraceContext | None, start: float,
                end: float, **tags) -> Span | None:
         """Record a span from explicit timestamps (post-hoc recording)."""

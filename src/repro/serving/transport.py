@@ -1040,6 +1040,7 @@ class _WorkerLink:
         self.wlock = threading.Lock()
         self.plock = threading.Lock()
         self.pending: dict[int, Future] = {}
+        self.closed = False  # reader gone: no reply can arrive here
         self.ids = itertools.count(1)
         # (store_id, component) -> (epoch, blob): the newest snapshot
         # this worker caches, mirrored byte-for-byte parent-side so
@@ -1079,6 +1080,7 @@ class _WorkerLink:
 
     def _fail_all(self, exc: BaseException) -> None:
         with self.plock:
+            self.closed = True
             pending = list(self.pending.values())
             self.pending.clear()
         for future in pending:
@@ -1207,7 +1209,11 @@ class RemoteBackend(ExecutionBackend):
             return self._links
 
     def _next_link(self, links: list[_WorkerLink]) -> _WorkerLink:
-        """Least-loaded link (fewest in-flight tasks; round-robin tie)."""
+        """Least-loaded live link (fewest in-flight tasks; round-robin
+        tie); ``ConnectionError`` when every worker's link is closed."""
+        links = [link for link in links if not link.closed]
+        if not links:
+            raise ConnectionError("no live backend worker")
         with self._lock:
             start = self._rr % len(links)
             self._rr += 1
@@ -1348,7 +1354,13 @@ class RemoteBackend(ExecutionBackend):
         future.set_running_or_notify_cancel()  # tied-request semantics
         msg_id = next(link.ids)
         with link.plock:
-            link.pending[msg_id] = future
+            closed = link.closed
+            if not closed:
+                link.pending[msg_id] = future
+        if closed:
+            future.set_exception(ConnectionError(
+                "backend worker connection closed"))
+            return future
         try:
             with link.wlock:
                 state_frames = [] if ref is None else \

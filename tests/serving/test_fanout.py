@@ -146,6 +146,9 @@ class TestScatterGather:
                 hedge=ReissueStrategy(100.0, initial_expected_latency=0.02),
                 hedge_budget=budget)
             env = as_envelope(cf_request, 10.0)
+            # Warm the fast replica's link first: its first call can
+            # outlast the 20 ms hedge prior and spend the hedge budget.
+            fast.serve(env, clocks=sim_clocks(2))
             cluster.serve(env, clocks=sim_clocks(2))  # slow; budget denies
             cluster.serve(env, clocks=sim_clocks(2))  # fast primary
             sent, received = frames_of([slow])[0]

@@ -311,13 +311,35 @@ class TestPerClassBreakdown:
 
         return LoadGenerator(factory, seed=31)
 
-    def test_closed_loop_classes_accounted(self, cf_serving_service,
-                                           small_ratings):
-        load = self.mixed_loadgen(small_ratings.matrix).closed_loop(
-            n_clients=2, n_requests=9)
-        harness = ServingHarness(cf_serving_service, deadline=10.0,
-                                 backend=SequentialBackend())
-        stats = harness.run_closed_loop(load)
+    @pytest.mark.parametrize("loop", ["closed", "open"])
+    @pytest.mark.parametrize("tier", ["thread", "async"])
+    def test_run_stats_contract(self, cf_serving_service, small_ratings,
+                                tier, loop):
+        """Both harnesses, both loop kinds: one ServingRunStats shape."""
+        from repro.serving.aio import AsyncServingHarness
+
+        n = 9
+        loadgen = self.mixed_loadgen(small_ratings.matrix)
+        harness = (ServingHarness if tier == "thread"
+                   else AsyncServingHarness)(
+            cf_serving_service, deadline=10.0, backend=SequentialBackend())
+        if loop == "closed":
+            stats = harness.run_closed_loop(
+                loadgen.closed_loop(n_clients=2, n_requests=n))
+        else:
+            stats = harness.run_open_loop(
+                loadgen.fixed([0.005 * i for i in range(n)]),
+                updates=[(0.0, lambda service: "applied")])
+        # ``offered`` is only set where an admission layer may shed.
+        assert stats.offered == (
+            n if (tier, loop) == ("async", "open") else None)
+        assert stats.n_requests == n
+        assert len(stats.answers) == len(stats.reports) == n
+        assert len(stats.request_latencies) == len(stats.queue_delays) == n
+        assert len(stats.sub_latencies) == \
+            n * cf_serving_service.n_components
+        assert stats.update_log == (
+            [] if loop == "closed" else [(0.0, "applied")])
         assert stats.class_served == {"accuracy_critical": 3,
                                       "latency_critical": 3,
                                       "best_effort": 3}

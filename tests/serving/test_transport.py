@@ -404,6 +404,28 @@ class TestRemoteBackend:
             assert got.result.numer == ref.result.numer
             assert got.result.denom == ref.result.denom
 
+    def test_dead_worker_link_is_skipped(self, cf_serving_service,
+                                         cf_request):
+        """Tasks sent after a worker dies all settle, on the survivor."""
+        from concurrent.futures import wait
+
+        backend = RemoteBackend(n_workers=2)
+        try:
+            env = as_envelope(cf_request, DEADLINE)
+            backend.run_tasks(cf_serving_service.build_tasks(
+                env, clocks=sim_clocks(2)))
+            backend._procs[0].kill()
+            time.sleep(0.5)
+            futures = [f for _ in range(20)
+                       for f in backend.submit_tasks(
+                           cf_serving_service.build_tasks(
+                               env, clocks=sim_clocks(2)))]
+            _, not_done = wait(futures, timeout=10.0)
+            assert not not_done
+            assert all(f.exception() is None for f in futures)
+        finally:
+            backend.close()
+
     def test_state_published_once_per_epoch_per_worker(self, small_ratings,
                                                        cf_adapter,
                                                        cf_request):
