@@ -602,12 +602,11 @@ class ServingHarness(_HarnessCore):
                 if think > 0:
                     time.sleep(think)
 
-        threads = [threading.Thread(target=client, daemon=True)
-                   for _ in range(min(load.n_clients, load.n_requests) or 1)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        n_clients = min(load.n_clients, load.n_requests) or 1
+        with ThreadPoolExecutor(max_workers=n_clients,
+                                thread_name_prefix="repro-closedloop") as pool:
+            for f in [pool.submit(client) for _ in range(n_clients)]:
+                f.result()  # a failed request fails the run
         return rec.stats()
 
     # ------------------------------------------------------------------
