@@ -12,11 +12,16 @@ Stage 2 hands the adapter runs ("chunks") of ranked groups, checking the
 stop rule before each: exactly the run the per-group rule would refine
 under a simulated clock, what half the remaining budget buys at the
 measured cost under a wall clock, one group otherwise (see
-:func:`_chunk_end`).
+:meth:`Algorithm1._chunk_end`).
 
-The processor is generic over the service adapter and the deadline clock,
-so the identical control flow serves the runnable examples (wall clock)
-and the tail-latency experiments (simulated clock).
+The control flow is written once, in the step machine :class:`Algorithm1`,
+generic over the service adapter and the deadline clock.  Every driver only
+makes the adapter calls between its steps — the sync
+:meth:`AccuracyAwareProcessor.process` (behind :func:`process_component`,
+:func:`process_component_batch` and the fixed-depth :func:`refine_to_depth`)
+and the async :func:`repro.serving.aio.aprocess_component` — so the
+identical control flow serves the runnable examples (wall clock) and the
+tail-latency experiments (simulated clock).
 """
 
 from __future__ import annotations
@@ -31,18 +36,18 @@ from repro.core.adapters import ServiceAdapter
 from repro.core.clock import DeadlineClock, SimulatedClock, WallClock
 from repro.core.synopsis import Synopsis
 
-__all__ = ["ProcessingReport", "AccuracyAwareProcessor", "refine_to_depth",
-           "process_component", "process_component_batch", "effective_i_max",
-           "wall_chunk_end", "RefineCost", "REFINE_COST"]
+__all__ = ["ProcessingReport", "Algorithm1", "AccuracyAwareProcessor",
+           "refine_to_depth", "process_component", "process_component_batch",
+           "effective_i_max", "wall_chunk_end", "RefineCost", "REFINE_COST"]
 
 
 def effective_i_max(n_groups: int, i_max: int | None,
                     i_max_fraction: float | None) -> int:
     """The effective ranked-group refinement cap for one execution.
 
-    Shared by the sync processor and the async mirror
-    (:func:`repro.serving.aio.aprocess_component`) so both enforce the
-    identical cap.  Validates the mutually-exclusive pair.
+    Every driver computes the cap it hands :class:`Algorithm1` here, before
+    stage 1, so a bad pair fails before any work.  Validates the
+    mutually-exclusive pair.
     """
     if i_max is not None and i_max_fraction is not None:
         raise ValueError("pass at most one of i_max / i_max_fraction")
@@ -114,34 +119,6 @@ class RefineCost:
 REFINE_COST = RefineCost()
 
 
-def _chunk_end(clock: DeadlineClock, adapter_cls: type, works, start: int,
-               stop: int, now: float, t_submit: float,
-               deadline: float) -> int:
-    """End (exclusive) of the next ``refine_many`` chunk for an adapter
-    that refines runs of groups.
-
-    Under a :class:`SimulatedClock` the chunk ends exactly where the
-    one-group-at-a-time loop would stop: the clock's own additions are
-    replayed (``charge`` adds ``work / speed``), so reports and clock
-    state are identical to that loop's.  Under a :class:`WallClock`,
-    :func:`wall_chunk_end` at the class's measured cost.  Any other
-    clock's ``now`` cannot be predicted: one group.
-    """
-    if type(clock) is SimulatedClock:
-        speed = clock.speed
-        now += works[start] / speed
-        end = start + 1
-        while end < stop and now - t_submit < deadline:
-            now += works[end] / speed
-            end += 1
-        return end
-    if type(clock) is WallClock:
-        return wall_chunk_end(works, start, stop,
-                              deadline - (now - t_submit),
-                              REFINE_COST.rate(adapter_cls))
-    return start + 1
-
-
 def process_component(adapter: ServiceAdapter, partition, synopsis: Synopsis,
                       request, deadline: float,
                       clock: DeadlineClock | None = None,
@@ -192,17 +169,14 @@ def process_component_batch(adapter: ServiceAdapter, partition,
                    else [None] * n)
     if not (len(deadlines) == len(clocks) == len(start_times) == n):
         raise ValueError("requests/deadlines/clocks/start_times length mismatch")
+    proc = AccuracyAwareProcessor(adapter, partition, synopsis, i_max=i_max,
+                                  i_max_fraction=i_max_fraction)
     initials = (adapter.initial_result_batch(synopsis, requests)
                 if n > 1 else None)
-    out = []
-    for k, request in enumerate(requests):
-        proc = AccuracyAwareProcessor(adapter, partition, synopsis,
-                                      i_max=i_max,
-                                      i_max_fraction=i_max_fraction)
-        out.append(proc.process(request, deadlines[k], clock=clocks[k],
-                                start_time=start_times[k],
-                                initial=initials[k] if initials else None))
-    return out
+    return [proc.process(request, deadlines[k], clock=clocks[k],
+                         start_time=start_times[k],
+                         initial=initials[k] if initials else None)
+            for k, request in enumerate(requests)]
 
 
 def refine_to_depth(adapter: ServiceAdapter, partition, synopsis: Synopsis,
@@ -213,17 +187,15 @@ def refine_to_depth(adapter: ServiceAdapter, partition, synopsis: Synopsis,
     ranked groups each component had time for, then replay exactly that
     depth through the real service code to measure accuracy (see
     :mod:`repro.experiments.coupling`).  ``depth`` is clamped to the
-    number of groups, which are refined in one ``refine_many`` call.
+    number of groups.  It is :func:`process_component` with the depth as
+    ``i_max`` and an unbounded deadline on a simulated clock, so the
+    groups are refined in one ``refine_many`` call.
 
     Returns the finalized component result.
     """
-    if depth < 0:
-        raise ValueError("depth must be non-negative")
-    state, correlations = adapter.initial_result(synopsis, request)
-    order = np.argsort(-np.asarray(correlations), kind="stable")
-    state = adapter.refine_many(partition, synopsis, order[:depth].tolist(),
-                                request, state)
-    return adapter.finalize(state, request)
+    return process_component(adapter, partition, synopsis, request,
+                             float("inf"), clock=SimulatedClock(),
+                             i_max=depth)[0]
 
 
 @dataclass
@@ -255,6 +227,113 @@ class ProcessingReport:
     #   string ("accuracy_critical" / "latency_critical" /
     #   "best_effort"); kept as a string so reports stay plainly
     #   picklable across process backends
+
+
+class Algorithm1:
+    """Algorithm 1's control flow for one execution, without the adapter.
+
+    A driver builds it before stage 1, calls :meth:`ranked` after stage
+    1, refines each :meth:`next_chunk` and then calls :meth:`refined`,
+    and takes the report from :meth:`finish` before ``finalize``.  The
+    machine owns the clock (a fresh :class:`WallClock` when ``None``),
+    the ranking, the stop rule — every group, ``cap`` groups, or
+    ``deadline`` seconds since ``start_time`` (default: now) —, the
+    chunk rule (one group unless ``chunked``), :data:`REFINE_COST` and
+    the report.
+    """
+
+    def __init__(self, adapter: ServiceAdapter, synopsis: Synopsis,
+                 deadline: float, clock: DeadlineClock | None, cap: int,
+                 start_time: float | None, chunked: bool):
+        if deadline < 0:
+            raise ValueError("deadline must be non-negative")
+        self.clock = clock = clock if clock is not None else WallClock()
+        self.deadline = deadline
+        self._t_submit = (clock.now() if start_time is None
+                          else float(start_time))
+        self.report = ProcessingReport(deadline=deadline)
+        self._adapter, self._synopsis, self._cap = adapter, synopsis, cap
+        self._chunked = chunked
+        self._done = self._end = 0   # groups refined / end of the chunk
+        self._t_begin = clock.now()
+
+    def _expired(self, now: float) -> bool:
+        """The deadline check, the one place it is written."""
+        return now - self._t_submit >= self.deadline
+
+    def ranked(self, correlations) -> None:
+        """Charge stage 1 and rank the groups by ``correlations``."""
+        work = self._adapter.synopsis_work(self._synopsis)
+        self.clock.charge(work)
+        report = self.report
+        report.work_units += work
+        report.synopsis_elapsed = self.clock.now() - self._t_begin
+        # Stable argsort on -corr: ties broken by group id for determinism.
+        ranked = report.groups_ranked = np.argsort(
+            -np.asarray(correlations), kind="stable").tolist()
+        self._works = [self._adapter.group_work(self._synopsis, g)
+                       for g in ranked[:self._cap]]
+
+    def next_chunk(self) -> list | None:
+        """The next run of ranked groups to refine, or ``None`` to stop."""
+        i, report = self._done, self.report
+        if i >= len(report.groups_ranked):
+            report.exhausted = True
+            return None
+        if i >= self._cap:
+            report.hit_imax = True
+            return None
+        now = self._t_chunk = self.clock.now()
+        if self._expired(now):
+            report.hit_deadline = True
+            return None
+        self._end = self._chunk_end(i, now) if self._chunked else i + 1
+        return report.groups_ranked[i:self._end]
+
+    def refined(self) -> None:
+        """The chunk :meth:`next_chunk` returned is refined: charge it."""
+        works = self._works[self._done:self._end]
+        if self._chunked and type(self.clock) is WallClock:
+            REFINE_COST.observe(type(self._adapter),
+                                self.clock.now() - self._t_chunk, sum(works))
+        for work in works:
+            self.clock.charge(work)
+            self.report.work_units += work
+        self.report.refine_calls += 1
+        self._done = self._end
+
+    def finish(self, cancelled: bool = False) -> ProcessingReport:
+        """The report, before ``finalize``; ``cancelled``: cut mid-chunk."""
+        report = self.report
+        if cancelled:
+            report.cancelled = report.hit_deadline = True
+        report.groups_processed = self._done
+        report.total_elapsed = self.clock.now() - self._t_begin
+        return report
+
+    def _chunk_end(self, start: int, now: float) -> int:
+        """End (exclusive) of the next chunk for a ``chunked`` adapter.
+
+        Simulated clock: exactly where the one-group loop would stop —
+        its ``work / speed`` additions replayed against the same deadline
+        check, so reports and clock state match that loop's.  Wall clock:
+        :func:`wall_chunk_end` at the class's measured cost.  Any other
+        clock's ``now`` cannot be predicted: one group.
+        """
+        clock, works, stop = self.clock, self._works, len(self._works)
+        if type(clock) is SimulatedClock:
+            speed = clock.speed
+            now += works[start] / speed
+            end = start + 1
+            while end < stop and not self._expired(now):
+                now += works[end] / speed
+                end += 1
+            return end
+        if type(clock) is WallClock:
+            return wall_chunk_end(works, start, stop,
+                                  self.deadline - (now - self._t_submit),
+                                  REFINE_COST.rate(type(self._adapter)))
+        return start + 1
 
 
 class AccuracyAwareProcessor:
@@ -335,64 +414,16 @@ class AccuracyAwareProcessor:
         This is why the paper observes actual latencies slightly above the
         100 ms requirement under extreme load.
         """
-        if deadline < 0:
-            raise ValueError("deadline must be non-negative")
-        clock = clock if clock is not None else WallClock()
-        t_submit = clock.now() if start_time is None else float(start_time)
-
-        report = ProcessingReport(deadline=deadline)
-        t_begin = clock.now()
-
-        # Stage 1: initial result + correlations from the synopsis.
-        syn_work = self.adapter.synopsis_work(self.synopsis)
-        if initial is None:
-            state, correlations = self.adapter.initial_result(self.synopsis,
-                                                              request)
-        else:
-            state, correlations = initial
-        clock.charge(syn_work)
-        report.work_units += syn_work
-        report.synopsis_elapsed = clock.now() - t_begin
-
-        # Stage 2: rank groups by correlation, refine best-first.
-        # Stable argsort on -corr: ties broken by group id for determinism.
-        order = np.argsort(-np.asarray(correlations), kind="stable")
-        ranked = report.groups_ranked = order.tolist()
-
-        i_max = self.i_max
-        stop = min(len(ranked), i_max)
-        works = [self.adapter.group_work(self.synopsis, g)
-                 for g in ranked[:stop]]
-        chunked = (type(self.adapter).refine_many
-                   is not ServiceAdapter.refine_many)
-        measured = chunked and type(clock) is WallClock
-        i = 0
-        while True:
-            if i >= len(ranked):
-                report.exhausted = True
-                break
-            if i >= i_max:
-                report.hit_imax = True
-                break
-            now = clock.now()
-            if now - t_submit >= deadline:
-                report.hit_deadline = True
-                break
-            end = (_chunk_end(clock, type(self.adapter), works, i, stop,
-                              now, t_submit, deadline)
-                   if chunked else i + 1)
-            state = self.adapter.refine_many(self.partition, self.synopsis,
-                                             ranked[i:end], request, state)
-            if measured:
-                REFINE_COST.observe(type(self.adapter), clock.now() - now,
-                                    sum(works[i:end]))
-            for work in works[i:end]:
-                clock.charge(work)
-                report.work_units += work
-            report.refine_calls += 1
-            i = end
-
-        report.groups_processed = i
-        report.total_elapsed = clock.now() - t_begin
-        result = self.adapter.finalize(state, request)
-        return result, report
+        adapter, synopsis = self.adapter, self.synopsis
+        run = Algorithm1(adapter, synopsis, deadline, clock, self.i_max,
+                         start_time, chunked=type(adapter).refine_many
+                         is not ServiceAdapter.refine_many)
+        state, correlations = (adapter.initial_result(synopsis, request)
+                               if initial is None else initial)
+        run.ranked(correlations)
+        while (groups := run.next_chunk()) is not None:
+            state = adapter.refine_many(self.partition, synopsis, groups,
+                                        request, state)
+            run.refined()
+        report = run.finish()
+        return adapter.finalize(state, request), report

@@ -5,12 +5,13 @@ request: ``ThreadPoolBackend`` tops out at ``max_concurrency`` threads,
 far short of the ROADMAP's "heavy traffic from millions of users".  This
 module rebuilds the serving path on an event loop:
 
-- :func:`aprocess_component` — the async mirror of Algorithm 1
-  (:func:`repro.core.processor.process_component`): identical control
-  flow, deadline checks, and reports, but the per-operation storage /
-  network stalls of an *async-native* adapter are awaited on the loop
-  instead of slept in a thread.  Refinement is cancellable mid-await;
-  a cancelled execution still finalizes the groups processed so far
+- :func:`aprocess_component` — the async driver of Algorithm 1: the
+  same step machine (:class:`repro.core.processor.Algorithm1`) as the
+  sync :func:`~repro.core.processor.process_component`, hence the same
+  deadline checks and reports, but the per-operation storage / network
+  stalls of an *async-native* adapter are awaited on the loop instead
+  of slept in a thread.  A deadline watchdog interrupts refinement
+  mid-await; the execution still finalizes the groups processed so far
   (``report.cancelled``) — a best-so-far answer, never a dropped one.
 - :class:`AsyncStallAdapter` — the async-native twin of
   :class:`~repro.serving.adapters.IOStallAdapter`: same stalls, same
@@ -46,16 +47,14 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from repro.core.clock import ClockFactory, DeadlineClock, WallClock, \
-    monotonic
-from repro.core.processor import ProcessingReport, effective_i_max
+from repro.core.clock import ClockFactory, DeadlineClock, monotonic
+from repro.core.processor import Algorithm1, ProcessingReport, \
+    effective_i_max
 from repro.serving.adapters import IOStallAdapter
 from repro.serving.admission import AdmissionController
 from repro.serving.backends import ComponentOutcome, ComponentTask, \
-    ExecutionBackend, _task_recorder, run_component_task, stamp_envelope, \
-    submit_all
+    ExecutionBackend, _resolve_task_state, _task_outcome, _task_recorder, \
+    run_component_task, submit_all
 from repro.serving.harness import ServingRunStats, _HarnessCore
 from repro.serving.loadgen import ClosedLoopLoad, OpenLoopLoad
 from repro.serving.telemetry import get_tracer, trace_context_of
@@ -116,97 +115,50 @@ async def aprocess_component(adapter, partition, synopsis, request,
                              start_time: float | None = None,
                              hard_deadline: float | None = None,
                              ) -> tuple[Any, ProcessingReport]:
-    """Async mirror of :func:`repro.core.processor.process_component`.
+    """Async driver of :func:`repro.core.processor.process_component`.
 
-    Control flow, deadline accounting, and the returned report are
-    identical to the sync processor — with a simulated clock the two
-    produce bit-identical results.  The adapter must be async-native
-    (:func:`is_async_adapter`); its stalls are awaited on the loop.
+    Both drive one :class:`~repro.core.processor.Algorithm1`, so control
+    flow, deadline accounting and the returned report are identical —
+    with a simulated clock the two produce bit-identical results.  The
+    adapter must be async-native (:func:`is_async_adapter`); its stalls
+    are awaited on the loop, one group per ``arefine``.
 
     Cancellation semantics:
 
-    - Stage 1 (synopsis) always completes — the component must produce
-      *some* result (paper §2.3), so external cancellation is only
-      delivered at refinement awaits.
     - ``hard_deadline`` (wall seconds from execution start) arms a
-      watchdog that cancels refinement mid-await once the budget is
-      spent; the execution then finalizes from the groups refined so
-      far, with ``report.cancelled`` and ``report.hit_deadline`` set.
-      This is what bounds a wall-clock deadline for real: the sync path
-      can only *check* the clock between stalls, the async path
-      interrupts the stall itself.
+      watchdog over stage 2 only — the component must produce *some*
+      result (paper §2.3) — that cancels refinement mid-await once the
+      budget is spent; the execution then finalizes from the groups
+      refined so far, with ``report.cancelled`` and
+      ``report.hit_deadline`` set.  This is what bounds a wall-clock
+      deadline for real: the sync path can only *check* the clock
+      between stalls, the async path interrupts the stall itself.
     - External cancellation (e.g. a hedged loser) propagates as normal
-      ``CancelledError`` after the in-flight refinement is reaped.
+      ``CancelledError`` from either stage, stage 1 included.
+    - An adapter's own ``TimeoutError`` propagates too.
     """
-    if deadline < 0:
-        raise ValueError("deadline must be non-negative")
-    clock = clock if clock is not None else WallClock()
-    t_submit = clock.now() if start_time is None else float(start_time)
-
-    report = ProcessingReport(deadline=deadline)
-    t_begin = clock.now()
     t_wall0 = monotonic()
-
-    # Stage 1: initial result + correlations from the synopsis.
-    syn_work = adapter.synopsis_work(synopsis)
+    run = Algorithm1(adapter, synopsis, deadline, clock,
+                     effective_i_max(synopsis.n_aggregated, i_max,
+                                     i_max_fraction),
+                     start_time, chunked=False)
     state, correlations = await adapter.ainitial_result(synopsis, request)
-    clock.charge(syn_work)
-    report.work_units += syn_work
-    report.synopsis_elapsed = clock.now() - t_begin
-
-    # Stage 2: rank groups by correlation, refine best-first.
-    order = np.argsort(-np.asarray(correlations), kind="stable")
-    report.groups_ranked = order.tolist()
-    cap = effective_i_max(synopsis.n_aggregated, i_max, i_max_fraction)
-    i = 0
-
-    async def refine_loop() -> None:
-        nonlocal state, i
-        while True:
-            if i >= len(report.groups_ranked):
-                report.exhausted = True
-                return
-            if i >= cap:
-                report.hit_imax = True
-                return
-            if clock.now() - t_submit >= deadline:
-                report.hit_deadline = True
-                return
-            g = report.groups_ranked[i]
-            work = adapter.group_work(synopsis, g)
-            # ``state`` only advances once a refinement *completes*:
-            # cancellation mid-await leaves the last consistent state.
-            state = await adapter.arefine(partition, synopsis, g, request,
-                                          state)
-            clock.charge(work)
-            report.work_units += work
-            report.refine_calls += 1
-            i += 1
-
-    if hard_deadline is None:
-        await refine_loop()
-    else:
-        inner = asyncio.ensure_future(refine_loop())
-        remaining = hard_deadline - (monotonic() - t_wall0)
-        try:
-            done, _ = await asyncio.wait({inner},
-                                         timeout=max(0.0, remaining))
-        except asyncio.CancelledError:
-            inner.cancel()
-            await asyncio.gather(inner, return_exceptions=True)
+    run.ranked(correlations)
+    budget = (None if hard_deadline is None
+              else hard_deadline - (monotonic() - t_wall0))
+    try:
+        async with asyncio.timeout(budget) as watchdog:
+            while (groups := run.next_chunk()) is not None:
+                # ``state`` only advances once a refinement *completes*:
+                # cancellation mid-await leaves the last consistent state.
+                state = await adapter.arefine(partition, synopsis,
+                                              groups[0], request, state)
+                run.refined()
+    except TimeoutError:
+        if not watchdog.expired():
             raise
-        if not done:
-            inner.cancel()
-            await asyncio.gather(inner, return_exceptions=True)
-            report.cancelled = True
-            report.hit_deadline = True
-        else:
-            inner.result()  # propagate refinement exceptions
-
-    report.groups_processed = i
-    report.total_elapsed = clock.now() - t_begin
-    result = adapter.finalize(state, request)
-    return result, report
+    report = run.finish(cancelled=watchdog.expired())
+    return adapter.finalize(state, request), report
 
 
 async def arun_component_task(task: ComponentTask,
@@ -217,38 +169,18 @@ async def arun_component_task(task: ComponentTask,
     Epoch references resolve exactly as on the sync path: the task's
     pinned dispatch-time snapshot, never a newer or torn state.
     Sampled tasks record the same ``state.fetch`` / ``kernel`` spans as
-    :func:`~repro.serving.backends.run_component_task`, piggybacked on
+    :func:`~repro.serving.backends.run_component_batch`, piggybacked on
     the outcome.
     """
     rec = _task_recorder(task)
-    if rec is None:
-        partition, synopsis = task.resolve_state()
-        result, report = await aprocess_component(
-            task.adapter, partition, synopsis, task.request,
-            task.deadline, clock=task.clock,
-            i_max=task.i_max, i_max_fraction=task.i_max_fraction,
-            start_time=task.start_time, hard_deadline=hard_deadline)
-        spans = None
-    else:
-        with rec.span("state.fetch", component=task.component) as fetch:
-            partition, synopsis = task.resolve_state()
-            if task.state_ref is not None:
-                fetch.tag(epoch=task.state_ref.epoch)
-        with rec.span("kernel", component=task.component) as kernel:
-            result, report = await aprocess_component(
-                task.adapter, partition, synopsis, task.request,
-                task.deadline, clock=task.clock,
-                i_max=task.i_max, i_max_fraction=task.i_max_fraction,
-                start_time=task.start_time, hard_deadline=hard_deadline)
-            kernel.tag(groups_processed=report.groups_processed,
-                       refine_calls=report.refine_calls,
-                       work_units=report.work_units)
-        spans = tuple(rec.spans)
-    if task.state_ref is not None:
-        report.state_epoch = task.state_ref.epoch
-    stamp_envelope(report, task)
-    return ComponentOutcome(component=task.component, result=result,
-                            report=report, spans=spans)
+    partition, synopsis = _resolve_task_state(task, rec)
+    t0 = monotonic()
+    result, report = await aprocess_component(
+        task.adapter, partition, synopsis, task.request,
+        task.deadline, clock=task.clock,
+        i_max=task.i_max, i_max_fraction=task.i_max_fraction,
+        start_time=task.start_time, hard_deadline=hard_deadline)
+    return _task_outcome(task, rec, result, report, t0, monotonic())
 
 
 # ---------------------------------------------------------------------------

@@ -45,8 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.core.clock import DeadlineClock, monotonic
-from repro.core.processor import (ProcessingReport, process_component,
-                                  process_component_batch)
+from repro.core.processor import ProcessingReport, process_component_batch
 from repro.core.slot import KERNEL_SLOT
 from repro.core.state import StateRef
 from repro.serving.telemetry import (MetricsRegistry, SpanRecorder,
@@ -168,41 +167,49 @@ def _task_recorder(task: ComponentTask) -> SpanRecorder | None:
     return SpanRecorder(ctx)
 
 
-def run_component_task(task: ComponentTask) -> ComponentOutcome:
-    """Execute one task inside the process's kernel slot, where its
-    deadline clock starts."""
-    rec = _task_recorder(task)
-    with KERNEL_SLOT:
-        if rec is None:
-            partition, synopsis = task.resolve_state()
-            result, report = process_component(
-                task.adapter, partition, synopsis, task.request,
-                task.deadline, clock=task.clock,
-                i_max=task.i_max, i_max_fraction=task.i_max_fraction,
-                start_time=task.start_time,
-            )
-            spans = None
-        else:
-            with rec.span("state.fetch", component=task.component) as fetch:
-                partition, synopsis = task.resolve_state()
-            if task.state_ref is not None:
-                fetch.tag(epoch=task.state_ref.epoch)
-            with rec.span("kernel", component=task.component) as kernel:
-                result, report = process_component(
-                    task.adapter, partition, synopsis, task.request,
-                    task.deadline, clock=task.clock,
-                    i_max=task.i_max, i_max_fraction=task.i_max_fraction,
-                    start_time=task.start_time,
-                )
-            kernel.tag(groups_processed=report.groups_processed,
-                       refine_calls=report.refine_calls,
-                       work_units=report.work_units)
-            spans = tuple(rec.spans)
+def _resolve_task_state(task: ComponentTask,
+                        rec: SpanRecorder | None) -> tuple[Any, Any]:
+    """The task's ``(partition, synopsis)``, resolved under a
+    ``state.fetch`` span when the task is sampled."""
+    if rec is None:
+        return task.resolve_state()
+    with rec.span("state.fetch", component=task.component) as fetch:
+        state = task.resolve_state()
+        if task.state_ref is not None:
+            fetch.tag(epoch=task.state_ref.epoch)
+    return state
+
+
+def _task_outcome(task: ComponentTask, rec: SpanRecorder | None, result,
+                  report: ProcessingReport, t0: float, t1: float,
+                  batch_size: int = 1) -> ComponentOutcome:
+    """Stamp the task's epoch and envelope on ``report``, record its
+    ``kernel`` span over ``[t0, t1]`` when sampled, and build the outcome.
+
+    A kernel pass serving a batch covers every member's span, each
+    tagged with the ``batch_size`` it shared.
+    """
     if task.state_ref is not None:
         report.state_epoch = task.state_ref.epoch
     stamp_envelope(report, task)
+    spans = None
+    if rec is not None:
+        kernel = rec.span("kernel", component=task.component,
+                          batch_size=batch_size,
+                          groups_processed=report.groups_processed,
+                          refine_calls=report.refine_calls,
+                          work_units=report.work_units)
+        kernel.span.start = t0
+        kernel.finish(end=t1)
+        spans = tuple(rec.spans)
     return ComponentOutcome(component=task.component, result=result,
                             report=report, spans=spans)
+
+
+def run_component_task(task: ComponentTask) -> ComponentOutcome:
+    """Execute one task inside the process's kernel slot, where its
+    deadline clock starts: a batch of one."""
+    return run_component_batch([task])[0]
 
 
 def run_component_batch(tasks: Sequence[ComponentTask]) -> list[ComponentOutcome]:
@@ -210,10 +217,11 @@ def run_component_batch(tasks: Sequence[ComponentTask]) -> list[ComponentOutcome
 
     Tasks sharing an ``(adapter, partition, synopsis, i_max)`` identity
     run through :func:`repro.core.processor.process_component_batch` —
-    one vectorized stage-1 pass for the group — while singletons take
-    their usual path.  Outcomes come back in task order, bit-identical
-    to per-task :func:`run_component_task` calls under deterministic
-    clocks.  The whole batch runs inside one hold of the kernel slot.
+    one vectorized stage-1 pass for the group (a group of one is plain
+    :func:`~repro.core.processor.process_component`).  Outcomes come
+    back in task order, bit-identical to per-task runs under
+    deterministic clocks.  The whole batch runs inside one hold of the
+    kernel slot.
 
     Grouping keys on object identity, which holds in a remote worker
     because its epoch cache hands every same-epoch task the same
@@ -224,14 +232,7 @@ def run_component_batch(tasks: Sequence[ComponentTask]) -> list[ComponentOutcome
     with KERNEL_SLOT:
         for i, task in enumerate(tasks):
             rec = _task_recorder(task)
-            if rec is None:
-                partition, synopsis = task.resolve_state()
-            else:
-                with rec.span("state.fetch",
-                              component=task.component) as fetch:
-                    partition, synopsis = task.resolve_state()
-                if task.state_ref is not None:
-                    fetch.tag(epoch=task.state_ref.epoch)
+            partition, synopsis = _resolve_task_state(task, rec)
             key = (id(task.adapter), id(partition), id(synopsis),
                    task.i_max, task.i_max_fraction)
             groups.setdefault(key, []).append(
@@ -249,24 +250,8 @@ def run_component_batch(tasks: Sequence[ComponentTask]) -> list[ComponentOutcome
             )
             t_batch1 = monotonic()
             for (i, task, _, _, rec), (result, report) in zip(entries, pairs):
-                if task.state_ref is not None:
-                    report.state_epoch = task.state_ref.epoch
-                stamp_envelope(report, task)
-                spans = None
-                if rec is not None:
-                    # One vectorized pass served the whole group; every
-                    # member's kernel span covers it, tagged with the share.
-                    kernel = rec.span("kernel", component=task.component,
-                                      batch_size=len(entries),
-                                      groups_processed=report.groups_processed,
-                                      refine_calls=report.refine_calls,
-                                      work_units=report.work_units)
-                    kernel.span.start = t_batch0
-                    kernel.finish(end=t_batch1)
-                    spans = tuple(rec.spans)
-                outcomes[i] = ComponentOutcome(component=task.component,
-                                               result=result, report=report,
-                                               spans=spans)
+                outcomes[i] = _task_outcome(task, rec, result, report,
+                                            t_batch0, t_batch1, len(entries))
     return outcomes  # type: ignore[return-value]
 
 

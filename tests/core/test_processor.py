@@ -25,6 +25,26 @@ class OneGroupSearchAdapter(SearchAdapter):
     refine_many = ServiceAdapter.refine_many
 
 
+class CountingCFAdapter(CFAdapter):
+    """``CFAdapter`` counting its ``refine_many`` calls."""
+
+    calls = 0
+
+    def refine_many(self, *args):
+        self.calls += 1
+        return super().refine_many(*args)
+
+
+class CountingSearchAdapter(SearchAdapter):
+    """``SearchAdapter`` counting its ``refine_many`` calls."""
+
+    calls = 0
+
+    def refine_many(self, *args):
+        self.calls += 1
+        return super().refine_many(*args)
+
+
 def answer_key(answer):
     if isinstance(answer, list):
         return [(h.doc_id, h.score) for h in answer]
@@ -201,6 +221,33 @@ class TestRefineToDepth:
         exact = cf_adapter.exact(small_ratings.matrix, cf_request)
         for item in cf_request.target_items:
             assert full.predict(item) == pytest.approx(exact.predict(item))
+
+    @pytest.mark.parametrize("family", ["cf", "search"])
+    def test_equals_one_refine_many_call(self, family, small_ratings,
+                                         cf_synopsis, cf_request,
+                                         small_corpus, search_synopsis,
+                                         search_query):
+        # The fixed-depth driver refines the top ``depth`` ranked groups
+        # in (at most) one refine_many call, exactly as one hand-written
+        # call over the stable ranking does.
+        if family == "cf":
+            partition, (synopsis, _) = small_ratings.matrix, cf_synopsis
+            adapter, request = CountingCFAdapter(), cf_request
+        else:
+            partition, (synopsis, _) = small_corpus.partition, search_synopsis
+            adapter, request = CountingSearchAdapter(), search_query
+        n = synopsis.n_aggregated
+        for depth in (0, n // 2, n, n + 5):
+            state, correlations = adapter.initial_result(synopsis, request)
+            order = np.argsort(-np.asarray(correlations), kind="stable")
+            expected = adapter.finalize(adapter.refine_many(
+                partition, synopsis, order[:depth].tolist(), request, state),
+                request)
+            adapter.calls = 0
+            got = refine_to_depth(adapter, partition, synopsis, request,
+                                  depth)
+            assert answer_key(got) == answer_key(expected)
+            assert adapter.calls == min(1, depth)
 
 
 class TestChunkSchedule:

@@ -22,12 +22,15 @@ import numpy as np
 import pytest
 
 from repro.core.builder import SynopsisConfig
-from repro.core.clock import WallClock, simulated_clock_factory
+from repro.core.clock import SimulatedClock, WallClock, \
+    simulated_clock_factory
+from repro.core.processor import process_component
 from repro.core.service import AccuracyTraderService
 from repro.serving.aio import (
     AsyncExecutionBackend,
     AsyncServingHarness,
     AsyncStallAdapter,
+    aprocess_component,
     is_async_adapter,
 )
 from repro.serving.backends import SequentialBackend, resolve_backend
@@ -77,6 +80,29 @@ class CountingStallAdapter(AsyncStallAdapter):
         self.refines_started += 1
         return await super().arefine(partition, synopsis, group_id,
                                      request, state)
+
+
+class CountingStage1Adapter(AsyncStallAdapter):
+    """Async stall adapter counting stage-1 entries."""
+
+    stage1_started = 0
+
+    async def ainitial_result(self, synopsis, request):
+        self.stage1_started += 1
+        return await super().ainitial_result(synopsis, request)
+
+
+class TimingOutAdapter(AsyncStallAdapter):
+    """Async stall adapter whose storage fetch times out by itself."""
+
+    async def arefine(self, partition, synopsis, group_id, request, state):
+        raise TimeoutError("group fetch timed out")
+
+
+def answer_key(answer):
+    if isinstance(answer, list):
+        return [(h.doc_id, h.score) for h in answer]
+    return answer.active_mean, answer.numer, answer.denom
 
 
 class TestAsyncBackendParity:
@@ -226,6 +252,96 @@ class TestDeadlineCancellation:
         assert outcome.report.groups_processed == 1
         assert outcome.report.hit_deadline and not outcome.report.cancelled
         svc.close()
+
+
+    def test_external_cancel_lands_in_stage_1(self, cf_adapter,
+                                              cf_synopsis, small_ratings,
+                                              cf_request):
+        # The watchdog covers stage 2 only, but a hedged loser's cancel
+        # lands wherever the execution is, the synopsis stall included.
+        stall = CountingStallAdapter(cf_adapter, synopsis_stall=0.5)
+        synopsis, _ = cf_synopsis
+
+        async def go():
+            task = asyncio.ensure_future(aprocess_component(
+                stall, small_ratings.matrix, synopsis, cf_request, 1.0,
+                hard_deadline=1.0))
+            await asyncio.sleep(0.05)
+            task.cancel()
+            t0 = time.monotonic()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            return time.monotonic() - t0
+
+        assert asyncio.run(go()) < 0.3
+        assert stall.refines_started == 0
+
+    def test_adapter_timeout_propagates(self, cf_adapter, cf_synopsis,
+                                        small_ratings, cf_request):
+        # An adapter's own TimeoutError is a failure, not the watchdog
+        # firing: it propagates instead of a ``cancelled`` report.
+        synopsis, _ = cf_synopsis
+        with pytest.raises(TimeoutError, match="group fetch"):
+            asyncio.run(aprocess_component(
+                TimingOutAdapter(cf_adapter), small_ratings.matrix, synopsis,
+                cf_request, 1.0, clock=SimulatedClock(speed=1e6),
+                hard_deadline=5.0))
+
+    def test_bad_cap_fails_before_stage_1(self, cf_adapter, cf_synopsis,
+                                          small_ratings, cf_request):
+        stall = CountingStage1Adapter(cf_adapter, synopsis_stall=0.2)
+        synopsis, _ = cf_synopsis
+        t0 = time.monotonic()
+        with pytest.raises(ValueError):
+            asyncio.run(aprocess_component(
+                stall, small_ratings.matrix, synopsis, cf_request, 1.0,
+                i_max=3, i_max_fraction=0.4))
+        assert stall.stage1_started == 0
+        assert time.monotonic() - t0 < 0.1
+
+
+class TestOneAlgorithm1:
+    """The sync and async drivers step one machine: under simulated
+    clocks they agree report for report and answer for answer."""
+
+    @pytest.mark.parametrize("family", ["cf", "search"])
+    def test_sync_equals_async(self, family, cf_adapter, small_ratings,
+                               cf_synopsis, cf_request, search_adapter,
+                               small_corpus, search_synopsis, search_query):
+        if family == "cf":
+            adapter, partition, (synopsis, _) = \
+                cf_adapter, small_ratings.matrix, cf_synopsis
+            request, cap = cf_request, {}
+        else:
+            adapter, partition, (synopsis, _) = \
+                search_adapter, small_corpus.partition, search_synopsis
+            request, cap = search_query, {"i_max_fraction": 0.4}
+        stall = AsyncStallAdapter(adapter)
+        cases = [(deadline, queued, speed)
+                 for deadline in (0.0, 0.01, 0.05, 0.1, 0.3, 1.0)
+                 for queued in (0.0, 0.02, 0.2)
+                 for speed in (300.0, 1000.0, 5000.0)]
+
+        def clock(queued, speed):
+            return SimulatedClock(start=1.0 + queued, speed=speed)
+
+        async def arun():
+            return [await aprocess_component(
+                stall, partition, synopsis, request, deadline,
+                clock=clock(queued, speed), start_time=1.0, **cap)
+                for deadline, queued, speed in cases]
+
+        depths = set()
+        for (deadline, queued, speed), (answer, areport) in zip(
+                cases, asyncio.run(arun())):
+            result, report = process_component(
+                adapter, partition, synopsis, request, deadline,
+                clock=clock(queued, speed), start_time=1.0, **cap)
+            assert report == areport, (deadline, queued, speed)
+            assert answer_key(answer) == answer_key(result)
+            depths.add(report.groups_processed)
+        # The grid reaches stage 1 only, partial depths and the cap.
+        assert 0 in depths and len(depths) > 5
 
 
 class TestAsyncHedgedRouting:
