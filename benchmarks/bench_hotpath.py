@@ -7,7 +7,8 @@ request set:
 - **before** — the scalar baseline: per-request dispatch (one backend
   submission per component task) with the per-group/per-posting python
   reference kernels (``pearson_weights_scalar``,
-  ``initial_result_scalar``, ``score_query_scalar``) patched in.  This
+  ``initial_result_scalar``, and a search stage 1 through
+  ``score_query_scalar``) patched in.  This
   is the pre-optimization hot path, preserved in-tree as the bit-exact
   test oracle.
 - **after** — the shipped path: vectorized CSR kernels plus dispatch
@@ -58,7 +59,6 @@ from repro.core.clock import SimulatedClock
 from repro.core.service import AccuracyTraderService
 from repro.recommender import similarity
 from repro.recommender.similarity import pearson_weights_scalar
-from repro.search import engine
 from repro.search.scoring import score_query_scalar
 from repro.serving import BatchingBackend, SequentialBackend, as_envelope
 from repro.workloads.corpus import CorpusConfig, generate_corpus
@@ -136,20 +136,31 @@ def search_workload(scale: Scale):
     return svc, envelopes
 
 
+def search_initial_result_scalar(adapter, synopsis, request):
+    """Search stage 1 scored by the per-posting oracle: the synopsis
+    index's doc ids are the group ids."""
+    m = synopsis.n_aggregated
+    correlations, matched = np.zeros(m), np.zeros(m, dtype=bool)
+    for g, score in score_query_scalar(synopsis.payload.index,
+                                       request.terms).items():
+        correlations[g], matched[g] = score, True
+    return adapter._stage1_state(synopsis, correlations, matched)
+
+
 class scalar_kernels:
     """Patch the pre-optimization reference kernels into the hot path."""
 
     def __enter__(self):
         self._saved = (similarity.pearson_weights, CFAdapter.initial_result,
-                       engine.score_query)
+                       SearchAdapter.initial_result)
         similarity.pearson_weights = pearson_weights_scalar
         CFAdapter.initial_result = CFAdapter.initial_result_scalar
-        engine.score_query = score_query_scalar
+        SearchAdapter.initial_result = search_initial_result_scalar
         return self
 
     def __exit__(self, *exc):
         (similarity.pearson_weights, CFAdapter.initial_result,
-         engine.score_query) = self._saved
+         SearchAdapter.initial_result) = self._saved
         return False
 
 

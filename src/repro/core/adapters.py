@@ -36,7 +36,7 @@ from repro.recommender.cf import (CFComponent, CFPrediction, GroupedRatings,
 from repro.recommender.matrix import RatingMatrix
 from repro.search.engine import SearchComponent, SearchHit, hits_best_first
 from repro.search.partition import SearchPartition
-from repro.search.scoring import GroupedPostings
+from repro.search.scoring import GroupedPostings, score_matrix
 
 __all__ = ["ServiceAdapter", "CFAdapter", "CFRequest", "SearchAdapter", "SearchQuery"]
 
@@ -212,13 +212,23 @@ class ServiceAdapter(abc.ABC):
     def group_work(self, synopsis, group_id: int) -> float:
         """Work units to process one group's original points."""
 
+    def group_works(self, synopsis, group_ids) -> list[float]:
+        """:meth:`group_work` of each of ``group_ids``, in order.
+
+        Adapters override this when they can read a run of groups' work
+        in one call (an adapter overriding :meth:`group_work` overrides
+        this too).  Default: the per-group loop.
+        """
+        return [self.group_work(synopsis, g) for g in group_ids]
+
     @abc.abstractmethod
     def full_work(self, partition) -> float:
         """Work units for exact processing of the whole partition."""
 
 
 class _MemoisingAdapter(ServiceAdapter):
-    """The per-process memos the two concrete adapters share.
+    """What the two concrete adapters share: per-process memos, and group
+    work counted in original points.
 
     ``_components`` holds the service component built over a partition,
     ``_layouts`` the group-segmented layout of a ``(partition, index
@@ -240,6 +250,16 @@ class _MemoisingAdapter(ServiceAdapter):
     def __setstate__(self, state):
         del state
         _MemoisingAdapter.__init__(self)
+
+    def synopsis_work(self, synopsis) -> float:
+        return float(synopsis.n_aggregated)
+
+    def group_work(self, synopsis, group_id: int) -> float:
+        return float(synopsis.index.group_size(group_id))
+
+    def group_works(self, synopsis, group_ids) -> list[float]:
+        """A slice of the index file's cached group sizes."""
+        return synopsis.index.group_sizes()[group_ids].astype(float).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -559,12 +579,6 @@ class CFAdapter(_MemoisingAdapter):
 
     # -- work --------------------------------------------------------------
 
-    def synopsis_work(self, synopsis) -> float:
-        return float(synopsis.n_aggregated)
-
-    def group_work(self, synopsis, group_id: int) -> float:
-        return float(synopsis.index.group_size(group_id))
-
     def full_work(self, partition: RatingMatrix) -> float:
         return float(partition.n_users)
 
@@ -588,7 +602,8 @@ class SearchQuery:
 
 
 class RefinedHits(Mapping):
-    """The exact ``(doc, score)`` results of a search run's refined groups.
+    """The exact ``(doc, score)`` results of a search run's refined groups:
+    the half of the state :class:`EstimatedHits` cedes groups to.
 
     Kept as arrays, one block per refine call, so refining a run of
     groups makes no per-hit objects; :meth:`top` builds only the ``k``
@@ -645,6 +660,71 @@ class RefinedHits(Mapping):
         """The best ``k`` refined hits, best first."""
         doc_ids, scores, _ = self._arrays()
         return hits_best_first(doc_ids, scores, k)
+
+
+class EstimatedHits(Mapping):
+    """The synopsis estimates of a search run's groups not yet refined.
+
+    Held as arrays over the ``m`` groups: the stage-1 ``scores`` (the
+    run's correlations), whether the synopsis ``matched`` the group at
+    all, and whether it is still ``pending`` (not yet refined).  Every
+    member of a group inherits the group's score — the synopsis cannot
+    tell members apart — so no per-member array exists until
+    :meth:`top` pads ``finalize``'s answer.  Read as the group ->
+    ``(members, score)`` dict this stands in for: one entry per pending
+    group, ``(no members, 0.0)`` for a group the query did not match;
+    ``pop(g)`` takes group ``g``'s entry out.
+    """
+
+    __slots__ = ("index", "scores", "matched", "pending")
+
+    def __init__(self, index, scores: np.ndarray, matched: np.ndarray):
+        self.index = index
+        self.scores = scores
+        self.matched = matched
+        self.pending = np.ones(scores.size, dtype=bool)
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.pending))
+
+    def __iter__(self):
+        return iter(np.flatnonzero(self.pending).tolist())
+
+    def __contains__(self, group_id) -> bool:
+        return (isinstance(group_id, (int, np.integer))
+                and 0 <= group_id < self.pending.size
+                and bool(self.pending[group_id]))
+
+    def __getitem__(self, group_id: int) -> tuple[np.ndarray, float]:
+        if group_id not in self:
+            raise KeyError(group_id)
+        if not self.matched[group_id]:
+            return _NO_MEMBERS, 0.0
+        return (self.index.members_view(group_id),
+                float(self.scores[group_id]))
+
+    def pop(self, group_id: int, *default):
+        if group_id not in self and default:
+            return default[0]
+        entry = self[group_id]
+        self.pending[group_id] = False
+        return entry
+
+    def discard(self, group_ids) -> None:
+        """Take the refined ``group_ids`` out."""
+        self.pending[group_ids] = False
+
+    def top(self, k: int) -> list[SearchHit]:
+        """The best ``k`` estimated hits, best first.
+
+        One ``lexsort`` over the index file's flat members layout,
+        masked to the pending matched groups: a doc belongs to one
+        group, so this is the order ``merge_topk`` gives the fully
+        materialised member hits.
+        """
+        members, group_at = self.index.flat_members()
+        live = (self.pending & self.matched)[group_at]
+        return hits_best_first(members[live], self.scores[group_at[live]], k)
 
 
 class SearchAdapter(_MemoisingAdapter):
@@ -707,40 +787,29 @@ class SearchAdapter(_MemoisingAdapter):
     # -- online ----------------------------------------------------------
 
     def initial_result(self, synopsis, request: SearchQuery):
-        payload: SearchComponent = synopsis.payload
-        return self._stage1_state(
-            synopsis,
-            [(h.doc_id, h.score) for h in payload.search(request.terms)])
+        return self.initial_result_batch(synopsis, [request])[0]
 
     def initial_result_batch(self, synopsis, requests):
-        """Vectorized stage 1 for a batch: one scoring pass over the
-        synopsis index answers every query (bit-identical to per-request
-        :meth:`initial_result`)."""
-        from repro.search.scoring import score_queries
-
-        payload: SearchComponent = synopsis.payload
-        score_maps = score_queries(payload.index,
-                                   [r.terms for r in requests])
-        return [self._stage1_state(synopsis, scores.items())
-                for scores in score_maps]
+        """Stage 1 for a batch: :func:`score_matrix` over the synopsis
+        index, one ``bincount`` for every query.  The index's doc ids
+        are the group ids ``0..m-1``, so its columns are the groups."""
+        _, scores, matched = score_matrix(synopsis.payload.index,
+                                          [r.terms for r in requests])
+        return [self._stage1_state(synopsis, scores[k], matched[k])
+                for k in range(len(requests))]
 
     @staticmethod
-    def _stage1_state(synopsis, group_scores):
-        """State + correlations from ``(group id, score)`` pairs."""
-        m = synopsis.n_aggregated
-        correlations = np.zeros(m)
-        # Initial approximate result: members of matching groups inherit
-        # their group's score (the synopsis cannot distinguish members
-        # yet).  Stored as one ``(members, score)`` pair per group — all
-        # members share the group score, so per-member hit objects are
-        # deferred to the few pad slots :meth:`finalize` actually fills.
-        estimates: dict[int, tuple[np.ndarray, float]] = {
-            g: (_NO_MEMBERS, 0.0) for g in range(m)}
-        for g, score in group_scores:
-            correlations[g] = score
-            estimates[g] = (synopsis.index.members_view(g), score)
-        # "plan": the _RefinePlan the run's first refine makes.
-        state = {"refined": RefinedHits(), "estimated": estimates,
+    def _stage1_state(synopsis, correlations: np.ndarray,
+                      matched: np.ndarray):
+        """State + correlations from the groups' synopsis scores.
+
+        The initial approximate result is every matched group's members
+        at the group's score, held as :class:`EstimatedHits`; "plan" is
+        the :class:`_RefinePlan` the run's first refine makes.
+        """
+        state = {"refined": RefinedHits(),
+                 "estimated": EstimatedHits(synopsis.index, correlations,
+                                            matched),
                  "plan": None}
         return state, correlations
 
@@ -765,9 +834,7 @@ class SearchAdapter(_MemoisingAdapter):
         # Exact per-page scores supersede each group's estimate entirely.
         state["refined"].add(group_ids, *plan.layout.score_groups(
             plan.query, group_ids))
-        estimated = state["estimated"]
-        for g in group_ids:
-            estimated.pop(g, None)
+        state["estimated"].discard(group_ids)
         return state
 
     def finalize(self, state, request: SearchQuery) -> list[SearchHit]:
@@ -783,22 +850,7 @@ class SearchAdapter(_MemoisingAdapter):
         refined = state["refined"].top(request.k)
         if len(refined) >= request.k:
             return refined
-        need = request.k - len(refined)
-        # Expand the lazy (members, score) estimates only for the top
-        # `need` pad slots: every member of a group shares the group's
-        # score and a doc belongs to exactly one group, so one lexsort
-        # over (neg score, doc id) is the same total order merge_topk
-        # would produce over fully materialised member hits.
-        groups = [(members, score) for members, score
-                  in state["estimated"].values() if members.size]
-        pad: list[SearchHit] = []
-        if need > 0 and groups:
-            ids = np.concatenate([members for members, _ in groups])
-            neg = np.concatenate([np.full(members.size, -float(score))
-                                  for members, score in groups])
-            top = np.lexsort((ids, neg))[:need]
-            pad = [SearchHit(neg_score=float(neg[i]), doc_id=int(ids[i]))
-                   for i in top.tolist()]
+        pad = state["estimated"].top(request.k - len(refined))
         seen = {h.doc_id for h in refined}
         return refined + [h for h in pad if h.doc_id not in seen]
 
@@ -807,12 +859,6 @@ class SearchAdapter(_MemoisingAdapter):
         return comp.search(request.terms, k=request.k)
 
     # -- work --------------------------------------------------------------
-
-    def synopsis_work(self, synopsis) -> float:
-        return float(synopsis.n_aggregated)
-
-    def group_work(self, synopsis, group_id: int) -> float:
-        return float(synopsis.index.group_size(group_id))
 
     def full_work(self, partition: SearchPartition) -> float:
         return float(partition.n_docs)

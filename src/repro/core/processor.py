@@ -271,8 +271,8 @@ class Algorithm1:
         # Stable argsort on -corr: ties broken by group id for determinism.
         ranked = report.groups_ranked = np.argsort(
             -np.asarray(correlations), kind="stable").tolist()
-        self._works = [self._adapter.group_work(self._synopsis, g)
-                       for g in ranked[:self._cap]]
+        self._works = self._adapter.group_works(self._synopsis,
+                                                ranked[:self._cap])
 
     def next_chunk(self) -> list | None:
         """The next run of ranked groups to refine, or ``None`` to stop."""

@@ -39,6 +39,36 @@ class IndexFile:
                 if r in self._record_to_group:
                     raise ValueError(f"record {r} assigned to two groups")
                 self._record_to_group[r] = g
+        self._layout: tuple | None = None   # see _flat
+
+    def __getstate__(self):
+        # The flat layout is derived per process: leaving it out keeps a
+        # snapshot's pickled bytes those of its groups alone.
+        state = dict(self.__dict__)
+        del state["_layout"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._layout = None
+
+    def _flat(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(sizes, members, group_at)``, built on first use, read-only.
+
+        ``members`` holds every group's members, group by group, and
+        ``group_at[i]`` is the group of ``members[i]``.  Racing builders
+        store equal arrays.
+        """
+        layout = self._layout
+        if layout is None:
+            sizes = np.array([g.size for g in self._groups], dtype=np.int64)
+            members = (np.concatenate(self._groups) if self._groups
+                       else np.empty(0, dtype=np.int64))
+            group_at = np.repeat(np.arange(sizes.size), sizes)
+            for array in (sizes, members, group_at):
+                array.flags.writeable = False
+            layout = self._layout = (sizes, members, group_at)
+        return layout
 
     # ------------------------------------------------------------------
 
@@ -81,7 +111,14 @@ class IndexFile:
         return g
 
     def group_sizes(self) -> np.ndarray:
-        return np.array([g.size for g in self._groups], dtype=np.int64)
+        """Every group's size, by group id (read-only, built once)."""
+        return self._flat()[0]
+
+    def flat_members(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(members, group_at)``: all groups' members laid out group by
+        group, ascending within each, and the group at each position
+        (read-only, built once)."""
+        return self._flat()[1:]
 
     def all_records(self) -> np.ndarray:
         return np.array(sorted(self._record_to_group), dtype=np.int64)

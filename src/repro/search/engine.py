@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.search.index import InvertedIndex
-from repro.search.scoring import score_query
+from repro.search.scoring import score_arrays
 
 __all__ = ["SearchHit", "SearchComponent", "hits_best_first", "merge_topk"]
 
@@ -82,10 +82,8 @@ class SearchComponent:
         """
         if k is not None and k < 0:
             raise ValueError("k must be non-negative")
-        scores = score_query(self.index, query_terms, doc_ids=doc_ids)
         return hits_best_first(
-            np.fromiter(scores, dtype=np.int64, count=len(scores)),
-            np.fromiter(scores.values(), dtype=float, count=len(scores)), k)
+            *score_arrays(self.index, query_terms, doc_ids=doc_ids), k)
 
 
 def merge_topk(hit_lists, k: int) -> list[SearchHit]:

@@ -20,9 +20,10 @@ class InvertedIndex:
     as NumPy arrays on query (cached per term, invalidated on mutation):
     build cost stays linear while query-time scoring is vectorised.
     Every mutation also bumps :attr:`version`, which is how derived
-    structures held outside the index (the per-doc norm array here, the
-    group-segmented postings in :mod:`repro.search.scoring`) notice that
-    they are stale.
+    structures notice that they are stale: those :meth:`derived` keeps
+    (the per-doc norm array, the scoring view of
+    :mod:`repro.search.scoring`) and those held outside the index (the
+    group-segmented postings).
     """
 
     def __init__(self) -> None:
@@ -31,20 +32,22 @@ class InvertedIndex:
         self._doc_terms: dict[int, dict[str, int]] = {}
         self._cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._version = 0
-        self._norms: tuple[int, np.ndarray, np.ndarray] | None = None
+        self._derived: dict = {}   # build -> (version, value)
 
     def __getstate__(self):
-        # The version counter and the norm array are per-process derived
-        # state: leaving them out keeps a snapshot's pickled bytes a
-        # function of its contents alone.
+        # The version counter, the postings cache and the derived
+        # structures are per-process state: leaving them out (the cache
+        # as an empty dict) keeps a snapshot's pickled bytes a function
+        # of its contents alone, whatever was queried before.
         state = dict(self.__dict__)
-        del state["_version"], state["_norms"]
+        del state["_version"], state["_derived"]
+        state["_cache"] = {}
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
         self._version = 0
-        self._norms = None
+        self._derived = {}
 
     # ------------------------------------------------------------------
 
@@ -68,28 +71,37 @@ class InvertedIndex:
         """Token count of a document (0 for unknown ids)."""
         return self._doc_len.get(doc_id, 0)
 
+    def derived(self, build):
+        """``build(self)``, kept until the next mutation.
+
+        For structures derived from the whole index (the norm array
+        here, the scoring view of :mod:`repro.search.scoring`): built on
+        first use, rebuilt once :attr:`version` moves, per process and
+        never pickled.  Racing builders store equal values.
+        """
+        cached = self._derived.get(build)
+        if cached is None or cached[0] != self._version:
+            cached = self._derived[build] = (self._version, build(self))
+        return cached[1]
+
     def doc_norms(self, doc_ids) -> np.ndarray:
         """Length-normalisation divisor of each doc: ``sqrt(token count)``.
 
         1.0 for empty and unknown docs, so dividing by it leaves their
         score untouched.  Read from one sorted ``(ids, norms)`` array
-        pair built on first use and rebuilt after a mutation.
+        pair (:meth:`sorted_norms`).
         """
-        cached = self._norms
-        if cached is None or cached[0] != self._version:
-            n = len(self._doc_len)
-            ids = np.fromiter(self._doc_len, dtype=np.int64, count=n)
-            lens = np.fromiter(self._doc_len.values(), dtype=float, count=n)
-            order = np.argsort(ids)
-            ids, lens = ids[order], lens[order]
-            norms = np.where(lens > 0, np.sqrt(lens), 1.0)
-            cached = self._norms = (self._version, ids, norms)
-        _, ids, norms = cached
+        ids, norms = self.sorted_norms()
         doc_ids = np.asarray(doc_ids, dtype=np.int64)
         if ids.size == 0:
             return np.ones(doc_ids.size)
         pos = np.minimum(np.searchsorted(ids, doc_ids), ids.size - 1)
         return np.where(ids[pos] == doc_ids, norms[pos], 1.0)
+
+    def sorted_norms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, norms)``: every doc id ascending, and its
+        :meth:`doc_norms` divisor (read-only, rebuilt after a mutation)."""
+        return self.derived(_sorted_norms)
 
     def doc_frequency(self, term: str) -> int:
         """Number of documents containing ``term``."""
@@ -188,3 +200,14 @@ class InvertedIndex:
 
     def vocabulary(self) -> list[str]:
         return sorted(self._postings)
+
+
+def _sorted_norms(index: InvertedIndex) -> tuple[np.ndarray, np.ndarray]:
+    n = index.n_docs
+    ids = np.fromiter(index._doc_len, dtype=np.int64, count=n)
+    lens = np.fromiter(index._doc_len.values(), dtype=float, count=n)
+    order = np.argsort(ids)
+    ids, lens = ids[order], lens[order]
+    norms = np.where(lens > 0, np.sqrt(lens), 1.0)
+    ids.flags.writeable = norms.flags.writeable = False
+    return ids, norms

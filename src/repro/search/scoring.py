@@ -14,8 +14,9 @@ import numpy as np
 
 from repro.util.spans import span_indices
 
-__all__ = ["tf_weight", "idf_weight", "score_query", "score_query_scalar",
-           "score_queries", "GroupedPostings"]
+__all__ = ["tf_weight", "idf_weight", "score_matrix", "score_arrays",
+           "score_query", "score_query_scalar", "score_queries",
+           "GroupedPostings"]
 
 
 def tf_weight(term_freq) -> np.ndarray:
@@ -39,6 +40,86 @@ def idf_weight(n_docs: int, doc_freq: int) -> float:
     return max(0.0, 1.0 + float(np.log(n_docs / (doc_freq + 1.0))))
 
 
+class _ScoringView:
+    """One index version's scoring view, kept by :meth:`InvertedIndex.derived`.
+
+    Docs are numbered by their position in ascending id order (their
+    *slot*): ``ids[slot]`` is the doc id and ``norms[slot]`` its length
+    norm.  Per term (on first use, under no lock: racing builders store
+    equal entries): its postings' slots, ``sqrt(tf)``, the term's
+    ``idf**2`` and the product ``sqrt(tf) * idf**2`` — the contribution
+    of a term the query holds once.
+    """
+
+    __slots__ = ("ids", "norms", "terms")
+
+    def __init__(self, index) -> None:
+        self.ids, self.norms = index.sorted_norms()
+        self.terms: dict[str, tuple | None] = {}
+
+    def term(self, index, term: str):
+        try:
+            return self.terms[term]
+        except KeyError:
+            pass
+        docs, tfs = index.postings(term)
+        entry = None
+        idf = idf_weight(index.n_docs, docs.size) if docs.size else 0.0
+        if idf != 0.0:
+            sqrt_tf, idf2 = tf_weight(tfs), idf * idf
+            entry = (np.searchsorted(self.ids, docs), sqrt_tf, idf2,
+                     sqrt_tf * idf2)
+        self.terms[term] = entry
+        return entry
+
+
+def score_matrix(index, queries) -> tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+    """Every query's score for every doc of ``index``: the one scorer.
+
+    Returns ``(ids, scores, matched)``: the index's doc ids ascending,
+    shape ``(n,)``; and per query (row) the docs' length-normalised
+    scores and whether any query term matched them, shape
+    ``(len(queries), n)``.  A doc no term matches scores 0.0.
+
+    All queries' postings go through one ``bincount`` over folded
+    ``query * n + slot`` keys, concatenated query-major in first-seen
+    term order: each doc's score is accumulated in query-term order, as
+    :func:`score_query_scalar` adds it, and divided once by the same
+    ``sqrt(doc length)`` — the scores are bit-identical to the oracle's.
+    """
+    view = index.derived(_ScoringView)
+    n, n_q = view.ids.size, len(queries)
+    # Seeded empty, so a batch no term of which scores needs no branch.
+    keys, contribs = [np.empty(0, dtype=np.intp)], [np.empty(0)]
+    for q, terms in enumerate(queries):
+        for term, q_tf in _term_counts(terms).items():
+            entry = view.term(index, term)
+            if entry is None:
+                continue
+            slots, sqrt_tf, idf2, once = entry
+            keys.append(slots + q * n if q else slots)
+            # (q_tf * sqrt_tf) * idf2, the oracle's association: the
+            # cached product equals it only for q_tf == 1.
+            contribs.append(once if q_tf == 1 else q_tf * sqrt_tf * idf2)
+    key = np.concatenate(keys)
+    totals = np.bincount(key, weights=np.concatenate(contribs),
+                         minlength=n_q * n)
+    matched = np.bincount(key, minlength=n_q * n) > 0
+    return (view.ids, totals.reshape(n_q, n) / view.norms,
+            matched.reshape(n_q, n))
+
+
+def score_arrays(index, query_terms, doc_ids=None) -> tuple[np.ndarray,
+                                                            np.ndarray]:
+    """``(doc_ids, scores)`` of the docs matching ``query_terms``, ids
+    ascending: one row of :func:`score_matrix`, restricted to
+    ``doc_ids`` if given (see :func:`score_query`)."""
+    ids, scores, matched = score_matrix(index, [query_terms])
+    keep = matched[0] & _allowed(ids, doc_ids)
+    return ids[keep], scores[0, keep]
+
+
 def score_query(index, query_terms, doc_ids=None) -> dict[int, float]:
     """Score documents of ``index`` against ``query_terms``.
 
@@ -57,20 +138,10 @@ def score_query(index, query_terms, doc_ids=None) -> dict[int, float]:
     -------
     dict[int, float]
         doc id -> similarity score; only docs matching at least one query
-        term (and inside ``doc_ids`` if given) appear.
+        term (and inside ``doc_ids`` if given) appear.  A dict view of
+        :func:`score_arrays`.
     """
-    parts = _term_contributions(index, query_terms)
-    if not parts:
-        return {}
-    docs = np.concatenate([d for d, _ in parts])
-    contrib = np.concatenate([c for _, c in parts])
-    docs, contrib = _restrict_postings(docs, contrib, doc_ids)
-    if docs.size == 0:
-        return {}
-    uniq, inverse = np.unique(docs, return_inverse=True)
-    totals = np.bincount(inverse, weights=contrib, minlength=uniq.size)
-    totals = totals / index.doc_norms(uniq)  # length-normalise, once
-    return {int(d): float(s) for d, s in zip(uniq.tolist(), totals.tolist())}
+    return _as_dict(*score_arrays(index, query_terms, doc_ids))
 
 
 def score_query_scalar(index, query_terms, doc_ids=None) -> dict[int, float]:
@@ -106,40 +177,18 @@ def score_query_scalar(index, query_terms, doc_ids=None) -> dict[int, float]:
 def score_queries(index, queries, doc_ids=None) -> list[dict[int, float]]:
     """Batched :func:`score_query`: score several queries in one pass.
 
-    Per-query results are bit-identical to individual ``score_query``
-    calls: contributions are concatenated query-major in term order, and
-    ``bincount`` over folded (query, doc) keys accumulates each doc's
-    score in that same order.  ``doc_ids`` (if given) restricts every
-    query alike.
+    Dict views of :func:`score_matrix`'s rows, bit-identical to
+    individual ``score_query`` calls.  ``doc_ids`` (if given) restricts
+    every query alike.
     """
-    results: list[dict[int, float]] = [{} for _ in queries]
-    doc_l, contrib_l, q_l = [], [], []
-    for q, terms in enumerate(queries):
-        for docs, contrib in _term_contributions(index, terms):
-            doc_l.append(docs)
-            contrib_l.append(contrib)
-            q_l.append(np.full(docs.size, q, dtype=np.int64))
-    if not doc_l:
-        return results
-    docs = np.concatenate(doc_l)
-    contrib = np.concatenate(contrib_l)
-    qs = np.concatenate(q_l)
-    keep_docs, contrib, qs = _restrict_postings(docs, contrib, doc_ids, qs)
-    if keep_docs.size == 0:
-        return results
-    # Fold (query, doc) into one key axis; doc ids may be arbitrary
-    # non-negative ints, so span by the observed range.
-    dmin = int(keep_docs.min())
-    span = int(keep_docs.max()) - dmin + 1
-    key = qs * span + (keep_docs - dmin)
-    uniq, inverse = np.unique(key, return_inverse=True)
-    totals = np.bincount(inverse, weights=contrib, minlength=uniq.size)
-    u_docs = uniq % span + dmin
-    totals = totals / index.doc_norms(u_docs)
-    for q, d, s in zip((uniq // span).tolist(), u_docs.tolist(),
-                       totals.tolist()):
-        results[q][int(d)] = float(s)
-    return results
+    ids, scores, matched = score_matrix(index, list(queries))
+    keep = matched & _allowed(ids, doc_ids)
+    return [_as_dict(ids[row], scores[q, row])
+            for q, row in enumerate(keep)]
+
+
+def _as_dict(doc_ids: np.ndarray, scores: np.ndarray) -> dict[int, float]:
+    return dict(zip(doc_ids.tolist(), scores.tolist()))
 
 
 def _term_counts(query_terms) -> dict[str, int]:
@@ -150,37 +199,13 @@ def _term_counts(query_terms) -> dict[str, int]:
     return counts
 
 
-def _term_contributions(index, query_terms):
-    """Per-term (docs, contribution) arrays, in first-seen term order."""
-    n = index.n_docs
-    parts = []
-    for term, q_tf in _term_counts(query_terms).items():
-        docs, tfs = index.postings(term)
-        if docs.size == 0:
-            continue
-        idf = idf_weight(n, docs.size)
-        if idf == 0.0:
-            continue
-        parts.append((docs, q_tf * tf_weight(tfs) * (idf * idf)))
-    return parts
-
-
-def _restrict_postings(docs, contrib, doc_ids, qs=None):
-    """Drop postings outside ``doc_ids`` (None means keep everything)."""
-    if doc_ids is not None:
-        if not isinstance(doc_ids, np.ndarray):
-            doc_ids = np.fromiter((int(d) for d in doc_ids), dtype=np.int64)
-        allowed = np.unique(doc_ids.astype(np.int64, copy=False))
-        if allowed.size == 0:
-            keep = np.zeros(docs.size, dtype=bool)
-        else:
-            pos = np.minimum(np.searchsorted(allowed, docs),
-                             allowed.size - 1)
-            keep = allowed[pos] == docs
-        docs, contrib = docs[keep], contrib[keep]
-        if qs is not None:
-            qs = qs[keep]
-    return (docs, contrib) if qs is None else (docs, contrib, qs)
+def _allowed(ids: np.ndarray, doc_ids) -> np.ndarray | bool:
+    """Which of ``ids`` are in ``doc_ids`` (None means all of them)."""
+    if doc_ids is None:
+        return True
+    if not isinstance(doc_ids, np.ndarray):
+        doc_ids = np.fromiter((int(d) for d in doc_ids), dtype=np.int64)
+    return np.isin(ids, doc_ids.astype(np.int64, copy=False))
 
 
 class GroupedPostings:
@@ -193,7 +218,7 @@ class GroupedPostings:
     that does not depend on the group once.  Per doc (at construction):
     its group, its position in the group-by-group member layout and its
     length norm.  Per term (on first use, cached like
-    ``InvertedIndex._cache``): the postings stably re-ordered by group
+    the index's own scoring view): the postings stably re-ordered by group
     with each group's span, their ``sqrt(tf)`` and the term's
     ``idf**2``.  Per request (:meth:`plan`): each query term's
     contribution array.  :meth:`score_groups` then scores any number of

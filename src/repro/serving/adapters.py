@@ -89,5 +89,8 @@ class IOStallAdapter(ServiceAdapter):
     def group_work(self, synopsis, group_id: int) -> float:
         return self.inner.group_work(synopsis, group_id)
 
+    def group_works(self, synopsis, group_ids) -> list[float]:
+        return self.inner.group_works(synopsis, group_ids)
+
     def full_work(self, partition) -> float:
         return self.inner.full_work(partition)

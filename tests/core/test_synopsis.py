@@ -32,6 +32,23 @@ class TestIndexFile:
         assert f.n_records == 6
         np.testing.assert_array_equal(f.group_sizes(), [2, 1, 3])
 
+    def test_flat_members_layout(self):
+        f = IndexFile([[4, 0], [], [3, 1, 2]])
+        members, group_at = f.flat_members()
+        assert members.tolist() == [0, 4, 1, 2, 3]
+        assert group_at.tolist() == [0, 0, 2, 2, 2]
+        assert not (members.flags.writeable or group_at.flags.writeable
+                    or f.group_sizes().flags.writeable)
+
+    def test_pickled_bytes_leave_the_layout_out(self):
+        import pickle
+
+        f = IndexFile([[0, 1], [2]])
+        before = pickle.dumps(f)
+        f.flat_members()
+        assert pickle.dumps(f) == before
+        assert pickle.loads(before).group_sizes().tolist() == [2, 1]
+
     def test_validate_against_expected(self):
         f = IndexFile([[0, 1], [2]])
         f.validate(expected_records=[0, 1, 2])

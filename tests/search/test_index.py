@@ -71,6 +71,23 @@ class TestPostings:
         assert docs2.size == docs1.size + 1
 
 
+class TestPickling:
+    def test_bytes_do_not_depend_on_queries(self):
+        import pickle
+
+        from repro.search.scoring import score_matrix, score_query
+
+        idx = small_index()
+        before = pickle.dumps(idx)
+        idx.postings("banana")
+        idx.postings("apple")
+        idx.doc_norms([0, 1])
+        score_matrix(idx, [["apple", "cherry"], ["durian"]])
+        assert pickle.dumps(idx) == before
+        clone = pickle.loads(before)
+        assert score_query(clone, ["banana"]) == score_query(idx, ["banana"])
+
+
 class TestRemoveReplace:
     def test_remove(self):
         idx = small_index()
