@@ -40,6 +40,5 @@ def test_fig3_search_updating(benchmark):
     # Finding (ii) reproduces cleanly on the CF service; on the synthetic
     # corpus the two categories are within timing noise of each other
     # (change's extra leaf deletes are offset by add's extra node splits),
-    # so only a no-large-inversion check is asserted here — see
-    # EXPERIMENTS.md for the discussion.
+    # so only a no-large-inversion check is asserted here.
     assert float(np.mean(result.change_s)) >= 0.75 * float(np.mean(result.add_s))

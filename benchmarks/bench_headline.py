@@ -24,7 +24,7 @@ def test_headline(benchmark, cf_tables_result, daily_result):
     # stated; the search AT loss runs ~1.5x the paper's 6.31% and the
     # search loss-reduction ratio is correspondingly smaller — a
     # consequence of the calibrated per-round framework overhead plus
-    # depth variance under overload (see EXPERIMENTS.md, deviations).
+    # depth variance under overload.
     assert head.cf_latency_reduction > 40.0
     assert head.search_latency_reduction > 40.0
     assert head.cf_at_loss_percent < 7.0

@@ -9,8 +9,9 @@ Paper reference rows (arrival rates 20 / 40 / 60 / 80 / 100 req/s):
 Shapes that must hold: reissue is best at light load; Basic (and, less
 violently, reissue) explode once the rate crosses component capacity
 (between 40 and 60); AccuracyTrader stays pinned near the 100 ms deadline
-at every rate.  Absolute magnitudes differ from the paper's testbed (see
-EXPERIMENTS.md).
+at every rate.  Absolute magnitudes differ from the paper's testbed (a
+simulated cluster, scaled down unless ``REPRO_BENCH_FULL=1``), so only
+the shapes are asserted.
 """
 
 from __future__ import annotations

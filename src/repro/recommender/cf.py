@@ -187,23 +187,26 @@ class CFComponent:
 
 
 class GroupedRatings:
-    """A component's rating rows laid out group by group.
+    """A component's rating rows laid out group by group, item-major.
 
     Algorithm 1's second stage scans one ranked group of original users
     at a time.  :meth:`CFComponent.partial_prediction` with
     ``user_ids=members`` gathers the members' CSR rows twice (once for
     the Pearson weights, again for the Resnick sums) and re-derives the
-    active user's and the targets' lookup structures on every call; this
-    layout stores every group's rows contiguously (``items``, ``vals``,
-    the rating's deviation from its user's mean, the user's position in
-    the layout) so a group is one span, :meth:`plan` does the
+    active user's and the targets' lookup structures on every call.
+    This layout stores every group's entries contiguously in (group,
+    item, member) order — each entry's rating, its deviation from its
+    user's mean and its user's position in the group — behind one
+    pointer per (group, item) pair, so a refinement reads only its
+    groups' active-item and target columns; :meth:`plan` does the
     per-request work once, and :meth:`partial_sums` refines any number
-    of groups in one pass over their spans.
+    of groups in one pass over those spans.
 
-    The sums are bit-identical to the component's: the five Pearson
-    sums and the two Resnick sums are accumulated by ``bincount`` over
-    the same entries in the same (user, item) order, and finished by the
-    same :func:`similarity._pearson_from_sums`.
+    The sums are bit-identical to the component's: every user's five
+    Pearson sums reach ``bincount`` in ascending item order (the CSR
+    row order), every (group, target) Resnick sum in ascending member
+    order, and the weights are finished by the same
+    :func:`similarity._pearson_from_sums`.
 
     ``groups`` are the synopsis index file's member arrays (sorted user
     ids, disjoint).
@@ -211,25 +214,37 @@ class GroupedRatings:
 
     def __init__(self, component: CFComponent, groups):
         matrix = component.matrix
-        self.n_items = matrix.n_items
-        sizes = np.array([g.size for g in groups], dtype=np.int64)
+        self.n_items = n_items = matrix.n_items
+        self._sizes = np.array([g.size for g in groups], dtype=np.int64)
         users = (np.concatenate(groups).astype(np.int64, copy=False)
                  if groups else np.empty(0, dtype=np.int64))
         idx, lens = similarity._row_entries(matrix, users)
-        self._items = matrix.item_ids[idx]
-        self._vals = matrix.values[idx]
-        self._dev = self._vals - np.repeat(component.user_means[users], lens)
-        self._n_users = users.size
-        self._user = np.repeat(np.arange(users.size), lens)
-        user_start = np.concatenate(([0], np.cumsum(sizes)))
-        # Group g's entries are _bounds[g]:_bounds[g + 1].
-        self._bounds = np.concatenate(([0], np.cumsum(lens)))[user_start]
+        n_groups = self._sizes.size
+        first = np.cumsum(self._sizes) - self._sizes
+        member = np.arange(users.size) - np.repeat(first, self._sizes)
+        # (group, item) cell of every entry, user-major; a stable sort
+        # keeps each cell's members in group order.
+        cell = (np.repeat(np.repeat(np.arange(n_groups) * n_items,
+                                    self._sizes), lens)
+                + matrix.item_ids[idx])
+        order = similarity._stable_order(cell, n_groups * n_items)
+        vals = matrix.values[idx]
+        self._vals = vals[order]
+        self._dev = (vals - np.repeat(component.user_means[users],
+                                      lens))[order]
+        self._member = np.repeat(member, lens)[order]
+        # Cell c's entries are _ptr[c]:_ptr[c + 1], c = group * n_items
+        # + item.
+        self._ptr = np.concatenate(([0], np.cumsum(np.bincount(
+            cell, minlength=n_groups * n_items))))
 
     def plan(self, active_items, active_vals, target_items):
         """The group-independent half of one request, or ``None``.
 
-        Dense ``item -> active slot`` / ``item -> target slot`` tables
-        (-1: absent) replace the per-group ``searchsorted`` calls.
+        ``(columns, active values, target slots, sorted unique
+        targets)``: ``columns`` are the in-matrix active items (sorted,
+        one value each) followed by the in-matrix targets
+        ``targets[slots]`` — the columns :meth:`partial_sums` reads.
         ``None`` marks the requests the vectorised Pearson itself hands
         to other code (duplicate active items, fewer than
         ``MIN_OVERLAP`` of them): callers use
@@ -241,15 +256,11 @@ class GroupedRatings:
                 or active_items.size < similarity.MIN_OVERLAP):
             return None
         targets = np.unique(np.asarray(list(target_items), dtype=np.int64))
-        return (self._slots(active_items), active_vals,
-                self._slots(targets), targets)
-
-    def _slots(self, sorted_items) -> np.ndarray:
-        table = np.full(self.n_items, -1, dtype=np.int64)
-        known = np.flatnonzero((sorted_items >= 0)
-                               & (sorted_items < self.n_items))
-        table[sorted_items[known]] = known
-        return table
+        inside = similarity._in_range(active_items, self.n_items)
+        slots = np.arange(targets.size)[
+            similarity._in_range(targets, self.n_items)]
+        return (np.concatenate((active_items[inside], targets[slots])),
+                active_vals[inside], slots, targets)
 
     def partial_sums(self, plan, group_ids):
         """Resnick partial sums of several groups, one row per group.
@@ -258,45 +269,50 @@ class GroupedRatings:
         ``(len(group_ids), T)`` over the plan's ``T`` sorted unique
         targets: row ``k`` holds group ``group_ids[k]``'s sums, and
         ``touched`` marks the targets some user of the group with a
-        non-zero weight rated.  The groups' spans are read end to end in
-        one pass; since groups partition the users, every user's Pearson
-        sums and every (group, target) Resnick sum still accumulate
-        their entries in the one-group order.
+        non-zero weight rated.  One gather reads the groups' cells of
+        the plan's columns, column by column — every group's cell of the
+        first active item, then of the next, the targets last.  Each
+        user belongs to one group, so its Pearson sums still see its
+        items in ascending order, and each (group, target) sum is one
+        cell in member order; Pearson is finished for the groups' own
+        users only.
         """
-        active_slot, active_vals, target_slot, targets = plan
+        columns, active_vals, target_slots, targets = plan
         group_ids = np.asarray(group_ids, dtype=np.int64)
         k, t = group_ids.size, targets.size
-        lo = self._bounds[group_ids]
-        lens = self._bounds[group_ids + 1] - lo
-        if t == 0 or not lens.any():
+        if not (k and target_slots.size):
             return (np.zeros((k, t)), np.zeros((k, t)),
                     np.zeros((k, t), dtype=bool))
+        a = active_vals.size * k   # the Pearson cells come first
+        cell = np.add.outer(columns, group_ids * self.n_items).ravel()
+        lo = self._ptr[cell]
+        lens = self._ptr[cell + 1] - lo
         idx = span_indices(lo, lens)
-        items, user = self._items[idx], self._user[idx]
-        slot = active_slot[items]
-        hit = slot >= 0
-        xa = self._vals[idx[hit]]
-        xb = active_vals[slot[hit]]
-        user_h = user[hit]
-        n_users = self._n_users
-        n = np.bincount(user_h, minlength=n_users)
-        sa, sb, saa, sbb, sab = similarity._sequential_sums(
-            user_h, n_users, xa, xb, xa * xa, xb * xb, xa * xb)
-        weights = similarity._pearson_from_sums(n, sa, sb, saa, sbb, sab)
-        t_pos = target_slot[items]
-        on_target = (t_pos >= 0).nonzero()[0]
-        w = weights[user[on_target]]
-        on_target, w = on_target[w != 0.0], w[w != 0.0]
-        # One bin per (row, target): row-major keys keep the rows apart.
-        key = (np.repeat(np.arange(k) * t, lens)[on_target]
-               + t_pos[on_target])
-        cells = k * t
-        numer = np.bincount(key, weights=w * self._dev[idx[on_target]],
-                            minlength=cells)
-        denom = np.bincount(key, weights=np.abs(w), minlength=cells)
-        touched = np.bincount(key, minlength=cells) > 0
+        # Chunk-local user index: member + its group's row offset.
+        sizes = self._sizes[group_ids]
+        ends = np.cumsum(sizes)
+        user = self._member[idx] + np.repeat(
+            (ends - sizes)[np.arange(cell.size) % k], lens)
+        split = int(lens[:a].sum())
+        xa = self._vals[idx[:split]]
+        xb = np.repeat(np.repeat(active_vals, k), lens[:a])
+        n_users = int(ends[-1])
+        pearson_user = user[:split]
+        n = np.bincount(pearson_user, minlength=n_users)
+        weights = similarity._pearson_from_sums(
+            n, *similarity._sequential_sums(
+                pearson_user, n_users, xa, xb, xa * xa, xb * xb, xa * xb))
+        # Zero weights add +-0.0 terms, which leave every sum's bits as
+        # they are; a target is touched iff its |w| sum is positive.
+        w = weights[user[split:]]
+        # One bin per (row, target): row-major keys keep rows apart.
+        key = np.repeat(np.add.outer(target_slots, np.arange(k) * t).ravel(),
+                        lens[a:])
+        numer = np.bincount(key, weights=w * self._dev[idx[split:]],
+                            minlength=k * t)
+        denom = np.bincount(key, weights=np.abs(w), minlength=k * t)
         return (numer.reshape(k, t), denom.reshape(k, t),
-                touched.reshape(k, t))
+                denom.reshape(k, t) > 0.0)
 
     def partial_prediction(self, plan, group_id: int,
                            active_mean: float) -> CFPrediction:
@@ -316,43 +332,31 @@ class SynopsisRatings:
 
     Stage 1 weighs every aggregated user against the active user, then
     reads the aggregated ratings of the request's few target items.
-    Built once per published synopsis: the user of every rating entry
-    (so the Pearson weights are one dense gather,
-    :func:`similarity.pearson_weights_gathered`), and every item's
-    entries in CSC order — item-major, users ascending — with each
-    entry's deviation from its user's mean, so reading the targets
-    touches only the target columns.
+    Built once per published synopsis: the payload matrix item-major
+    (:class:`similarity.ItemColumns`), plus each entry's deviation from
+    its user's mean, so both the Pearson weights and the target reads
+    touch only the request's own columns.
     """
 
     def __init__(self, payload: CFComponent):
-        matrix = payload.matrix
-        self.matrix = matrix
-        self._entry_user = np.repeat(np.arange(matrix.n_users),
-                                     np.diff(matrix.indptr))
-        by_item = np.argsort(matrix.item_ids, kind="stable")
-        self._col_user = self._entry_user[by_item]
-        self._col_dev = (matrix.values
-                         - payload.user_means[self._entry_user])[by_item]
-        self._col_ptr = np.searchsorted(matrix.item_ids[by_item],
-                                        np.arange(matrix.n_items + 1))
+        self.matrix = payload.matrix
+        self._columns = similarity.ItemColumns(payload.matrix)
+        self._col_dev = (self._columns.vals
+                         - payload.user_means[self._columns.user])
 
     def weights(self, actives) -> np.ndarray:
         """Equal to ``similarity.pearson_weights_batch(matrix, actives)``."""
-        return similarity.pearson_weights_gathered(
-            self.matrix, self._entry_user, actives)
+        return self._columns.pearson_weights(actives)
 
     def target_entries(self, targets: np.ndarray):
         """``(users, slots, deviations)`` of every rating of the sorted
         ``targets``; ``slots`` index ``targets``.  Targets outside the
         matrix have no ratings."""
-        inside = np.flatnonzero((targets >= 0)
-                                & (targets < self.matrix.n_items))
-        cols = targets[inside]
-        lo = self._col_ptr[cols]
-        lens = self._col_ptr[cols + 1] - lo
-        idx = span_indices(lo, lens)
-        return self._col_user[idx], np.repeat(inside, lens), \
-            self._col_dev[idx]
+        inside = similarity._in_range(targets, self.matrix.n_items)
+        idx, lens = self._columns.spans(targets[inside])
+        slots = np.arange(targets.size)[inside]
+        return (self._columns.user[idx], np.repeat(slots, lens),
+                self._col_dev[idx])
 
 
 def merge_predictions(parts, active_mean: float | None = None) -> CFPrediction:

@@ -10,14 +10,18 @@ Bit-identity contract
 
 Every entry point here — scalar :func:`pearson`, the per-user-loop
 :func:`pearson_weights_scalar`, the vectorized :func:`pearson_weights`
-and the multi-request :func:`pearson_weights_batch` — computes r from
-the same five sufficient sums ``(Σa, Σb, Σa², Σb², Σab)`` over the
-co-rated overlap, accumulated *strictly sequentially in overlap order*
-via ``np.bincount`` and finished by the shared elementwise
-:func:`_pearson_from_sums`.  Because both the accumulation order and the
-finishing arithmetic are identical, the vectorized paths return
-bit-identical floats to the scalar loop — which is what lets the serving
-layer treat batched and unbatched execution as interchangeable.
+and the multi-request column kernel :func:`pearson_weights_batch` /
+:meth:`ItemColumns.pearson_weights` — computes r from the same five
+sufficient sums ``(Σa, Σb, Σa², Σb², Σab)`` over the co-rated overlap,
+accumulated *strictly sequentially in ascending item order* via
+``np.bincount`` and finished by the shared elementwise
+:func:`_pearson_from_sums`.  The CSR paths filter each user's row
+(items ascending); the column kernel gathers the active items' columns
+in ascending item order, so every user's overlap reaches its bin in the
+same order.  Because both the accumulation order and the finishing
+arithmetic are identical, the vectorized paths return bit-identical
+floats to the scalar loop — which is what lets the serving layer treat
+batched and unbatched execution as interchangeable.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ __all__ = [
     "pearson_weights",
     "pearson_weights_scalar",
     "pearson_weights_batch",
-    "pearson_weights_gathered",
+    "ItemColumns",
 ]
 
 # Below this many co-rated items a Pearson estimate is statistically
@@ -128,6 +132,27 @@ def _row_entries(matrix, users):
     return span_indices(starts, lens), lens
 
 
+def _stable_order(keys, n_keys: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for keys in ``[0, n_keys)``.
+
+    Keys that fit 16 bits are sorted as ``uint16``, which numpy sorts
+    stably by radix in linear time (several times faster than the merge
+    sort it uses for wider integers); the order is the same.
+    """
+    if n_keys <= 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
+
+
+def _in_range(sorted_items, n_items: int) -> slice:
+    """The slice of ascending ``sorted_items`` that lies in
+    ``[0, n_items)``: the items a matrix with ``n_items`` columns has."""
+    if not sorted_items.size or (sorted_items[0] >= 0
+                                 and sorted_items[-1] < n_items):
+        return slice(None)
+    return slice(*np.searchsorted(sorted_items, (0, n_items)).tolist())
+
+
 def _has_duplicate_items(active_items) -> bool:
     return active_items.size > 1 and bool(
         np.any(active_items[1:] == active_items[:-1]))
@@ -207,55 +232,73 @@ def pearson_weights_batch(matrix, actives) -> np.ndarray:
     ``actives`` is a sequence of ``(active_items, active_vals)`` pairs.
     Returns an array of shape ``(len(actives), matrix.n_users)`` whose
     row *r* is bit-identical to ``pearson_weights(matrix, *actives[r])``.
-    Every request intersects against the *same* rating entries, so the
-    batch shares one CSR expansion (``entry_user``) and a reusable dense
-    item->slot table; each request then costs one O(nnz) gather + mask
-    and a set of ``bincount`` reductions — no per-request CSR walk, no
-    batch-sized temporaries.
+    The column kernel :meth:`ItemColumns.pearson_weights` over a
+    one-off item-major view of ``matrix``; callers that weigh many
+    batches against one matrix keep the :class:`ItemColumns`.
     """
-    return pearson_weights_gathered(
-        matrix, np.repeat(np.arange(matrix.n_users), np.diff(matrix.indptr)),
-        actives)
+    return ItemColumns(matrix).pearson_weights(actives)
 
 
-def pearson_weights_gathered(matrix, entry_user, actives) -> np.ndarray:
-    """:func:`pearson_weights_batch` with the CSR expansion supplied.
+class ItemColumns:
+    """A rating matrix's entries item-major: CSC order, each item's
+    raters in ascending user order.
 
-    ``entry_user[e]`` is the user of rating entry ``e`` (what the batch
-    function derives from ``matrix.indptr``); callers that keep it per
-    matrix skip the expansion on every call.
+    ``ptr[i]:ptr[i + 1]`` are item ``i``'s entries; ``user`` and
+    ``vals`` hold their users and ratings.  Built once per matrix, so a
+    request reads only the columns of its own items.
     """
-    n_users = matrix.n_users
-    out = np.zeros((len(actives), n_users))
-    clean: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for r, (a_items, a_vals) in enumerate(actives):
-        a_items, a_vals = _sorted_active(a_items, a_vals)
-        if _has_duplicate_items(a_items):
-            out[r] = pearson_weights(matrix, a_items, a_vals)
-            continue
-        if a_items.size < MIN_OVERLAP:
-            continue  # row stays all-zero, as in the single-request path
-        clean.append((r, a_items, a_vals))
-    if not clean or matrix.nnz == 0 or n_users == 0:
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        order = _stable_order(matrix.item_ids, matrix.n_items)
+        self.user = np.repeat(np.arange(matrix.n_users),
+                              np.diff(matrix.indptr))[order]
+        self.vals = matrix.values[order]
+        self.ptr = np.concatenate(([0], np.cumsum(np.bincount(
+            matrix.item_ids, minlength=matrix.n_items))))
+
+    def spans(self, items):
+        """``(entry indices, lengths)`` of the columns of ``items`` (all
+        inside the matrix), laid end to end in ``items`` order;
+        ``lens[k]`` entries belong to ``items[k]``."""
+        lo = self.ptr[items]
+        lens = self.ptr[items + 1] - lo
+        return span_indices(lo, lens), lens
+
+    def pearson_weights(self, actives) -> np.ndarray:
+        """:func:`pearson_weights_batch` over this view's matrix.
+
+        Every clean request's active columns are gathered in ascending
+        item order and the whole batch is reduced by one ``bincount`` per
+        sum over ``(request, user)`` bins, so each user's overlap still
+        reaches its bin in ascending item order: the order the CSR
+        intersection of :func:`pearson_weights` feeds it in.
+        """
+        matrix = self.matrix
+        n_users = matrix.n_users
+        out = np.zeros((len(actives), n_users))
+        rows, items, vals = [], [], []
+        for r, (a_items, a_vals) in enumerate(actives):
+            a_items, a_vals = _sorted_active(a_items, a_vals)
+            if _has_duplicate_items(a_items):
+                out[r] = pearson_weights(matrix, a_items, a_vals)
+            elif a_items.size >= MIN_OVERLAP:
+                inside = _in_range(a_items, matrix.n_items)
+                rows.append(r)
+                items.append(a_items[inside])
+                vals.append(a_vals[inside])
+        if not rows or n_users == 0:
+            return out
+        idx, lens = self.spans(np.concatenate(items))
+        seg = self.user[idx]
+        if len(rows) > 1:
+            per_row = [a.size for a in items]
+            seg = seg + np.repeat(np.repeat(
+                np.arange(len(rows)) * n_users, per_row), lens)
+        xa = self.vals[idx]
+        xb = np.repeat(np.concatenate(vals), lens)
+        bins = len(rows) * n_users
+        n = np.bincount(seg, minlength=bins)
+        sums = _sequential_sums(seg, bins, xa, xb, xa * xa, xb * xb, xa * xb)
+        out[rows] = _pearson_from_sums(n, *sums).reshape(len(rows), n_users)
         return out
-    items = matrix.item_ids
-    vals = matrix.values
-    # Dense item -> active-slot table, reset between requests by undoing
-    # only the slots each request touched (active sets are tiny next to
-    # the item vocabulary).
-    lookup = np.full(matrix.n_items, -1, dtype=np.int64)
-    for r, a_items, a_vals in clean:
-        in_range = np.flatnonzero(
-            (a_items >= 0) & (a_items < lookup.size))
-        lookup[a_items[in_range]] = in_range
-        slot = lookup[items]
-        hit = slot >= 0
-        xa = vals[hit]
-        xb = a_vals[slot[hit]]
-        seg_h = entry_user[hit]
-        n = np.bincount(seg_h, minlength=n_users)
-        sa, sb, saa, sbb, sab = _sequential_sums(
-            seg_h, n_users, xa, xb, xa * xa, xb * xb, xa * xb)
-        out[r] = _pearson_from_sums(n, sa, sb, saa, sbb, sab)
-        lookup[a_items[in_range]] = -1
-    return out

@@ -900,6 +900,11 @@ def _backend_worker_main(host: str, port: int) -> None:
       in the reader, run through :func:`~repro.serving.backends.
       run_component_batch` on the pool (vectorized same-state kernels),
       and answered as one list-of-outcomes frame.
+
+    A resolved task's adapter is interned by its pickled bytes (at most
+    64 distinct ones, oldest dropped first), so the adapter's
+    per-process memos live as long as the worker and a snapshot's
+    derived layouts are built once per epoch.
     """
     sock = connect_with_retry(host, port)
     wlock = threading.Lock()
@@ -909,6 +914,8 @@ def _backend_worker_main(host: str, port: int) -> None:
     oneoff: OrderedDict[tuple, Any] = OrderedDict()
     # (store_id, component) -> message from a failed state apply.
     failed: dict[tuple, str] = {}
+    # Pickled bytes -> the one adapter this worker runs for them.
+    adapters: dict[bytes, Any] = {}
 
     def reply(msg_id: int, kind: int, obj: Any) -> None:
         with wlock:
@@ -1009,7 +1016,18 @@ def _backend_worker_main(host: str, port: int) -> None:
                     detail = failed.get(group, "no snapshot for this epoch "
                                         "has been published to this worker")
                     return None, f"cannot resolve {ref.key}: {detail}"
-                return replace(task, partition=state.partition,
+                # Byte-equal adapters are interchangeable, so every
+                # task runs on one interned object and its memos
+                # (components, layouts, stage-1 indexes) are built once
+                # per epoch, not once per unpickled task.
+                key = pickle.dumps(task.adapter, PICKLE_PROTOCOL)
+                adapter = adapters.get(key)
+                if adapter is None:
+                    if len(adapters) >= 64:
+                        adapters.pop(next(iter(adapters)))
+                    adapter = adapters[key] = task.adapter
+                return replace(task, adapter=adapter,
+                               partition=state.partition,
                                synopsis=state.synopsis,
                                state_ref=None), ref.epoch
 

@@ -11,6 +11,7 @@ approximate.
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -179,22 +180,28 @@ class TestEpochIsolation:
 class TestMechanics:
     def test_max_batch_flushes_early(self, cf_serving_service,
                                      small_ratings):
+        # max_batch=2: a 4-request burst per component fills exactly
+        # ceil(4/2)=2 batches per component, each flushed the moment it
+        # is full — so no task waits out the 30 s window.
+        burst = 4
         envelopes = [as_envelope(r, DEADLINE)
-                     for r in cf_requests(small_ratings)]
-        # max_batch=2: a 5-request burst per component must flush at
-        # least ceil(5/2)=3 batches per component, within the window.
-        batching = BatchingBackend(SequentialBackend(), window=30.0,
+                     for r in cf_requests(small_ratings)[:burst]]
+        window = 30.0
+        batching = BatchingBackend(SequentialBackend(), window=window,
                                    max_batch=2, close_inner=True)
         try:
+            start = time.monotonic()
             responses = serve_all(cf_serving_service, envelopes, batching)
+            elapsed = time.monotonic() - start
             stats = batching.batch_stats()
         finally:
             batching.close()
-        assert len(responses) == len(envelopes)
+        assert len(responses) == burst
         assert stats["tasks_coalesced"] == \
-            len(envelopes) * cf_serving_service.n_components
+            burst * cf_serving_service.n_components
         assert stats["batches_submitted"] >= \
-            2 * ((N_REQUESTS + 1) // 2)
+            cf_serving_service.n_components * ((burst + 1) // 2)
+        assert elapsed < window / 2
 
     def test_validation(self):
         with pytest.raises(ValueError):

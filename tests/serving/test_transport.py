@@ -24,6 +24,8 @@ Four layers of pinning:
 
 from __future__ import annotations
 
+import itertools
+import os
 import pickle
 import socket
 import threading
@@ -33,6 +35,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from repro.core.adapters import CFAdapter, _ComponentMemo
 from repro.core.builder import SynopsisConfig
 from repro.core.clock import SimulatedClock
 from repro.core.processor import ProcessingReport
@@ -383,6 +386,45 @@ class TestStateDelta:
             assert apply_delta(b"", delta) == target
 
 
+class _CountingMemo(_ComponentMemo):
+    """An adapter memo that counts the values it builds."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = 0
+
+    def get(self, owners, build, fresh=None):
+        def counted():
+            self.builds += 1
+            return build()
+        return super().get(owners, counted, fresh)
+
+
+_PROBE_SERIALS = itertools.count()
+
+
+class ProbeCFAdapter(CFAdapter):
+    """A CF adapter that tags each answer with the process it ran in,
+    the adapter object that ran it and the layouts that object built."""
+
+    def __init__(self):
+        super().__init__()
+        self._probe()
+
+    def __setstate__(self, state):
+        super().__setstate__(state)
+        self._probe()
+
+    def _probe(self):
+        self._layouts = _CountingMemo()
+        self.serial = next(_PROBE_SERIALS)
+
+    def finalize(self, state, request):
+        answer = super().finalize(state, request)
+        answer.probe = (os.getpid(), self.serial, self._layouts.builds)
+        return answer
+
+
 @pytest.fixture(scope="module")
 def remote_backend():
     backend = RemoteBackend(n_workers=2)
@@ -403,6 +445,46 @@ class TestRemoteBackend:
             assert report_key(got.report) == report_key(ref.report)
             assert got.result.numer == ref.result.numer
             assert got.result.denom == ref.result.denom
+
+    def test_worker_runs_one_adapter_and_builds_layouts_once_per_epoch(
+            self, small_ratings, cf_request):
+        """Same-epoch tasks, single or batched, share one worker-resident
+        adapter, so each component's layout is built once per epoch."""
+        parts = split_ratings(small_ratings.matrix, 2)
+        service = AccuracyTraderService(ProbeCFAdapter(), parts,
+                                        config=CF_CONFIG)
+        backend = RemoteBackend(n_workers=1)
+        env = as_envelope(cf_request, DEADLINE)
+
+        def serve(n_rounds):
+            for _ in range(n_rounds):
+                round_tasks = service.build_tasks(env, clocks=sim_clocks(2))
+                yield from zip(round_tasks, backend.run_tasks(round_tasks))
+            batch = [service.build_tasks(env, clocks=sim_clocks(2))[0]
+                     for _ in range(3)]
+            futures = backend.submit_batch(batch)
+            yield from zip(batch, [f.result(timeout=60) for f in futures])
+            # Last, one task alone: its probe counts every build before.
+            last = service.build_tasks(env, clocks=sim_clocks(2))[1]
+            yield last, backend.run_tasks([last])[0]
+
+        try:
+            first = list(serve(3))
+            service.change_points(0, parts[0], np.array([0, 1]))
+            second = list(serve(2))
+        finally:
+            backend.close()
+        runs = first + second
+        assert backend.transport_counters()["batches_shipped"] == 2
+        assert all(out.report.groups_processed > 0 for _, out in runs)
+        assert len({out.result.probe[:2] for _, out in runs}) == 1
+        assert first[-1][1].result.probe[2] == 2   # one per component
+        assert second[-1][1].result.probe[2] == 3  # one more for epoch 2
+        ref = SequentialBackend().run_tasks([task for task, _ in runs])
+        for (_, got), want in zip(runs, ref):
+            assert report_key(got.report) == report_key(want.report)
+            assert got.result.numer == want.result.numer
+            assert got.result.denom == want.result.denom
 
     def test_dead_worker_link_is_skipped(self, cf_serving_service,
                                          cf_request):
